@@ -9,6 +9,7 @@
 #include "src/attack/sda.hpp"
 #include "src/attack/sequential_bayes.hpp"
 #include "src/stats/contract.hpp"
+#include "src/stats/kahan.hpp"
 
 namespace anonpath::attack {
 
@@ -64,6 +65,52 @@ trajectory_point summarize_posterior(const std::vector<double>& posterior,
       std::max_element(posterior.begin(), posterior.end()) - posterior.begin();
   pt.top_receiver = static_cast<node_id>(top);
   pt.top_mass = posterior[static_cast<std::size_t>(top)];
+  pt.identified = pt.top_mass > identified_threshold;
+  return pt;
+}
+
+trajectory_point disclosure_attack::summarize(
+    std::uint32_t round, double identified_threshold) const {
+  return summarize_posterior(posterior(), round, identified_threshold);
+}
+
+std::optional<trajectory_point> summarize_sparse(
+    const std::vector<node_id>& support, std::vector<double> weights,
+    std::uint32_t round, double identified_threshold) {
+  ANONPATH_EXPECTS(weights.size() == support.size());
+  // Pass 1: clamp the negative part away and take the normalizer.
+  stats::kahan_sum z;
+  for (double& w : weights) {
+    if (w < 0.0) w = 0.0;
+    z.add(w);
+  }
+  if (z.value() <= 0.0) return std::nullopt;
+  // Pass 2: normalize; entropy_bits' total and the argmax (first maximum,
+  // i.e. smallest id, like std::max_element over the dense vector, whose
+  // skipped entries are +0 and never win).
+  trajectory_point pt;
+  pt.round = round;
+  stats::kahan_sum total;
+  for (std::size_t i = 0; i < weights.size(); ++i) {
+    weights[i] /= z.value();
+    total.add(weights[i]);
+    if (weights[i] > pt.top_mass) {
+      pt.top_mass = weights[i];
+      pt.top_receiver = support[i];
+    }
+  }
+  // Pass 3: entropy, exactly as entropy_bits accumulates it.
+  const double norm = total.value();
+  if (norm > 0.0) {
+    stats::kahan_sum h;
+    for (double p : weights) {
+      if (p > 0.0) {
+        const double q = p / norm;
+        h.add(-q * std::log2(q));
+      }
+    }
+    pt.entropy_bits = h.value();
+  }
   pt.identified = pt.top_mass > identified_threshold;
   return pt;
 }

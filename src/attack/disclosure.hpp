@@ -54,6 +54,15 @@ struct round_observation {
   std::vector<double> target_weight;
 };
 
+/// One point of an attack's per-round trajectory.
+struct trajectory_point {
+  std::uint32_t round = 0;      ///< rounds consumed when sampled (1-based)
+  double entropy_bits = 0.0;    ///< H(posterior)
+  double top_mass = 0.0;        ///< max posterior entry
+  node_id top_receiver = 0;     ///< argmax (smallest id on ties)
+  bool identified = false;      ///< top_mass > identified_threshold
+};
+
 /// The family interface. Implementations consume rounds one at a time
 /// (streaming — population-scale runs never hold more than one round) and
 /// expose a posterior over the receiver population for "is r the target's
@@ -75,6 +84,14 @@ class disclosure_attack {
 
   [[nodiscard]] virtual attack_kind kind() const noexcept = 0;
 
+  /// Trajectory point of the current posterior, sampled at `round`. The
+  /// default is summarize_posterior(posterior(), ...); engines whose
+  /// posterior is zero outside a small support override it with a sparse
+  /// walk that returns the same point bit for bit without materializing the
+  /// dense vector.
+  [[nodiscard]] virtual trajectory_point summarize(
+      std::uint32_t round, double identified_threshold) const;
+
   /// Approximate resident engine state, for the memory accounting of
   /// streaming runs: exact engines grow with the receiver population,
   /// sketch-backed engines stay sublinear.
@@ -88,15 +105,6 @@ class disclosure_attack {
 
  protected:
   std::uint32_t receiver_count_;
-};
-
-/// One point of an attack's per-round trajectory.
-struct trajectory_point {
-  std::uint32_t round = 0;      ///< rounds consumed when sampled (1-based)
-  double entropy_bits = 0.0;    ///< H(posterior)
-  double top_mass = 0.0;        ///< max posterior entry
-  node_id top_receiver = 0;     ///< argmax (smallest id on ties)
-  bool identified = false;      ///< top_mass > identified_threshold
 };
 
 /// A completed longitudinal run: the entropy/identified trajectory plus the
@@ -138,6 +146,19 @@ struct sequential_bayes_config {
 [[nodiscard]] trajectory_point summarize_posterior(
     const std::vector<double>& posterior, std::uint32_t round,
     double identified_threshold);
+
+/// summarize_posterior for a posterior that is +0 everywhere except on
+/// `support` (ascending receiver ids), where `weights` holds the
+/// unnormalized mass before clamping. Replays the dense path's clamp,
+/// Kahan normalization, argmax and entropy passes over the support only;
+/// the skipped +0 entries leave every Kahan–Neumaier sum and the argmax
+/// unchanged, so the point is bit-identical to normalizing the dense vector
+/// and summarizing it. nullopt when the clamped weights sum to <= 0 — the
+/// caller's uniform fallback. Precondition: weights.size() ==
+/// support.size().
+[[nodiscard]] std::optional<trajectory_point> summarize_sparse(
+    const std::vector<node_id>& support, std::vector<double> weights,
+    std::uint32_t round, double identified_threshold);
 
 /// Streams every round of `pop` into `attack`, tracking persistent pair
 /// `pair_index`, with a trajectory point every `stride` rounds (and always

@@ -39,8 +39,7 @@ void online_attack::ingest(const round_observation& obs) {
 }
 
 trajectory_point online_attack::snapshot() const {
-  return summarize_posterior(engine_->posterior(), rounds_,
-                             identified_threshold_);
+  return engine_->summarize(rounds_, identified_threshold_);
 }
 
 attack_result online_attack::result() const {

@@ -1,7 +1,9 @@
 #include "src/attack/sda.hpp"
 
+#include <bit>
 #include <cmath>
 #include <string>
+#include <utility>
 
 #include "src/stats/contract.hpp"
 #include "src/stats/error.hpp"
@@ -12,43 +14,52 @@ namespace anonpath::attack {
 sda_attack::sda_attack(std::uint32_t receiver_count)
     : disclosure_attack(receiver_count),
       target_counts_(receiver_count, 0),
-      background_counts_(receiver_count, 0) {}
+      background_counts_(receiver_count, 0),
+      seen_((receiver_count + 63) / 64, 0) {}
 
 void sda_attack::observe_round(const round_observation& round) {
   // Zero deliveries is loss, not evidence (family-wide rule, see
   // intersection_attack): counting such a round would dilute the mean
   // batch size m-bar that the background subtraction scales by.
   if (round.receivers.empty()) return;
-  auto& counts = round.target_present ? target_counts_ : background_counts_;
-  for (node_id v : round.receivers) {
-    ANONPATH_EXPECTS(v < receiver_count_);
-    ++counts[v];
-  }
+  for (node_id v : round.receivers) ANONPATH_EXPECTS(v < receiver_count_);
   if (round.target_present) {
+    for (node_id v : round.receivers) {
+      ++target_counts_[v];
+      seen_[v / 64] |= std::uint64_t{1} << (v % 64);
+    }
     ++target_rounds_;
     target_messages_ += round.receivers.size();
   } else {
+    for (node_id v : round.receivers) ++background_counts_[v];
     ++background_rounds_;
     background_messages_ += round.receivers.size();
   }
 }
 
+double sda_attack::mean_batch() const {
+  return static_cast<double>(target_messages_) /
+         static_cast<double>(target_rounds_);
+}
+
+double sda_attack::signal_at(node_id r, double mbar) const {
+  const double p_target = static_cast<double>(target_counts_[r]) /
+                          static_cast<double>(target_messages_);
+  // No background rounds yet: fall back to the uniform prior for q̂ (the
+  // subtraction then just recenters; evidence still ranks receivers).
+  const double q = background_messages_ > 0
+                       ? static_cast<double>(background_counts_[r]) /
+                             static_cast<double>(background_messages_)
+                       : 1.0 / static_cast<double>(receiver_count_);
+  return mbar * p_target - (mbar - 1.0) * q;
+}
+
 std::vector<double> sda_attack::signal() const {
   std::vector<double> out(receiver_count_, 0.0);
   if (target_messages_ == 0) return out;
-  const double mbar = static_cast<double>(target_messages_) /
-                      static_cast<double>(target_rounds_);
-  for (std::uint32_t r = 0; r < receiver_count_; ++r) {
-    const double p_target = static_cast<double>(target_counts_[r]) /
-                            static_cast<double>(target_messages_);
-    // No background rounds yet: fall back to the uniform prior for q̂ (the
-    // subtraction then just recenters; evidence still ranks receivers).
-    const double q = background_messages_ > 0
-                         ? static_cast<double>(background_counts_[r]) /
-                               static_cast<double>(background_messages_)
-                         : 1.0 / static_cast<double>(receiver_count_);
-    out[r] = mbar * p_target - (mbar - 1.0) * q;
-  }
+  const double mbar = mean_batch();
+  for (std::uint32_t r = 0; r < receiver_count_; ++r)
+    out[r] = signal_at(r, mbar);
   return out;
 }
 
@@ -90,6 +101,29 @@ std::vector<double> sda_attack::posterior() const {
   }
   for (double& p : post) p /= z.value();
   return post;
+}
+
+std::vector<node_id> sda_attack::support() const {
+  std::vector<node_id> out;
+  for (std::size_t w = 0; w < seen_.size(); ++w)
+    for (std::uint64_t bits = seen_[w]; bits != 0; bits &= bits - 1)
+      out.push_back(static_cast<node_id>(64 * w + std::countr_zero(bits)));
+  return out;
+}
+
+trajectory_point sda_attack::summarize(std::uint32_t round,
+                                       double identified_threshold) const {
+  if (target_messages_ == 0 || mean_batch() < 1.0)
+    return disclosure_attack::summarize(round, identified_threshold);
+  const std::vector<node_id> ids = support();
+  const double mbar = mean_batch();
+  std::vector<double> weights(ids.size());
+  for (std::size_t i = 0; i < ids.size(); ++i)
+    weights[i] = signal_at(ids[i], mbar);
+  if (auto pt = summarize_sparse(ids, std::move(weights), round,
+                                 identified_threshold))
+    return *pt;
+  return disclosure_attack::summarize(round, identified_threshold);
 }
 
 namespace {
@@ -163,6 +197,7 @@ sda_attack sda_attack::from_counts(const workload::cooccurrence_result& totals,
                         " for receiver " + std::to_string(r));
     out.target_counts_[r] = tc;
     out.background_counts_[r] = c - tc;
+    if (tc > 0) out.seen_[r / 64] |= std::uint64_t{1} << (r % 64);
   }
   if (t != t_end)
     reject_counts(parse_error_kind::mismatch,

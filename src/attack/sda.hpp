@@ -32,6 +32,14 @@ class sda_attack final : public disclosure_attack {
     return attack_kind::sda;
   }
 
+  /// Bit-identical to summarizing posterior(), but the arithmetic runs only
+  /// over the receivers seen in target rounds (found by a bitmap scan of
+  /// one word per 64 receivers): with m̄ >= 1 every other receiver's signal
+  /// is <= 0 and clamps to +0. The uniform fallback, and m̄ < 1 (reachable
+  /// only through from_counts), take the dense default.
+  [[nodiscard]] trajectory_point summarize(
+      std::uint32_t round, double identified_threshold) const override;
+
   /// Background-subtracted estimate of the target's sending pmf:
   /// m̄·p̂_target − (m̄−1)·q̂ per receiver (may be negative — noise).
   [[nodiscard]] std::vector<double> signal() const;
@@ -48,7 +56,8 @@ class sda_attack final : public disclosure_attack {
 
   [[nodiscard]] std::size_t memory_bytes() const noexcept override {
     return sizeof(*this) + (target_counts_.capacity() +
-                            background_counts_.capacity()) *
+                            background_counts_.capacity() +
+                            seen_.capacity()) *
                                sizeof(std::uint64_t);
   }
 
@@ -68,12 +77,22 @@ class sda_attack final : public disclosure_attack {
       std::uint32_t receiver_count);
 
  private:
+  /// m̄: mean messages per target round. Precondition: target_rounds_ > 0.
+  [[nodiscard]] double mean_batch() const;
+  /// signal() at receiver r. Precondition: target_messages_ > 0.
+  [[nodiscard]] double signal_at(node_id r, double mbar) const;
+  /// Receivers with target_counts_ > 0, ascending.
+  [[nodiscard]] std::vector<node_id> support() const;
+
   std::vector<std::uint64_t> target_counts_;      // per receiver, target rounds
   std::vector<std::uint64_t> background_counts_;  // per receiver, other rounds
   std::uint64_t target_rounds_ = 0;
   std::uint64_t target_messages_ = 0;
   std::uint64_t background_rounds_ = 0;
   std::uint64_t background_messages_ = 0;
+  /// Bit r set iff target_counts_[r] > 0: the support, walkable in
+  /// ascending id order at one word per 64 receivers.
+  std::vector<std::uint64_t> seen_;
 };
 
 }  // namespace anonpath::attack

@@ -44,26 +44,10 @@ std::vector<double> sketch_sda_attack::posterior() const {
   // normalization loop over the full population (zeros where no candidate)
   // so collision-free instances reproduce sda_attack bit-for-bit.
   std::vector<double> post(receiver_count_, 0.0);
-  const std::uint64_t bm = total_messages_ - target_messages_;
   if (target_messages_ > 0) {
-    const double mbar = static_cast<double>(target_messages_) /
-                        static_cast<double>(target_rounds_);
-    for (std::uint64_t key : candidates_.keys()) {
-      const node_id v = static_cast<node_id>(key);
-      const std::uint64_t tc = target_.estimate(v);
-      const std::uint64_t gc = global_.estimate(v);
-      // Both estimates overestimate independently, so clamp the implied
-      // background complement into its feasible range instead of
-      // underflowing — the same invariant from_counts enforces on
-      // untrusted exact counts.
-      const std::uint64_t bc = std::min(gc > tc ? gc - tc : 0, bm);
-      const double p_target = static_cast<double>(tc) /
-                              static_cast<double>(target_messages_);
-      const double q = bm > 0 ? static_cast<double>(bc) /
-                                    static_cast<double>(bm)
-                              : 1.0 / static_cast<double>(receiver_count_);
-      post[v] = mbar * p_target - (mbar - 1.0) * q;
-    }
+    const std::vector<node_id> keys = candidates();
+    const std::vector<double> sig = candidate_signal(keys);
+    for (std::size_t i = 0; i < keys.size(); ++i) post[keys[i]] = sig[i];
   }
   stats::kahan_sum z;
   for (double& p : post) {
@@ -77,6 +61,43 @@ std::vector<double> sketch_sda_attack::posterior() const {
   }
   for (double& p : post) p /= z.value();
   return post;
+}
+
+std::vector<double> sketch_sda_attack::candidate_signal(
+    const std::vector<node_id>& keys) const {
+  const std::uint64_t bm = total_messages_ - target_messages_;
+  const double mbar = static_cast<double>(target_messages_) /
+                      static_cast<double>(target_rounds_);
+  std::vector<double> out(keys.size());
+  for (std::size_t i = 0; i < keys.size(); ++i) {
+    const std::uint64_t tc = target_.estimate(keys[i]);
+    const std::uint64_t gc = global_.estimate(keys[i]);
+    // Both estimates overestimate independently, so clamp the implied
+    // background complement into its feasible range instead of
+    // underflowing — the same invariant from_counts enforces on untrusted
+    // exact counts.
+    const std::uint64_t bc = std::min(gc > tc ? gc - tc : 0, bm);
+    const double p_target =
+        static_cast<double>(tc) / static_cast<double>(target_messages_);
+    const double q = bm > 0 ? static_cast<double>(bc) /
+                                  static_cast<double>(bm)
+                            : 1.0 / static_cast<double>(receiver_count_);
+    out[i] = mbar * p_target - (mbar - 1.0) * q;
+  }
+  return out;
+}
+
+trajectory_point sketch_sda_attack::summarize(
+    std::uint32_t round, double identified_threshold) const {
+  // posterior() is +0 off the candidates whatever m̄ is, so only the
+  // uniform fallback needs the dense default.
+  if (target_messages_ > 0) {
+    const std::vector<node_id> keys = candidates();
+    if (auto pt = summarize_sparse(keys, candidate_signal(keys), round,
+                                   identified_threshold))
+      return *pt;
+  }
+  return disclosure_attack::summarize(round, identified_threshold);
 }
 
 std::size_t sketch_sda_attack::memory_bytes() const noexcept {

@@ -42,6 +42,12 @@ class sketch_sda_attack final : public disclosure_attack {
     return attack_kind::sda;
   }
 
+  /// Bit-identical to summarizing posterior(), at O(candidates): the dense
+  /// posterior is +0 off the reservoir. The uniform fallback takes the
+  /// dense default.
+  [[nodiscard]] trajectory_point summarize(
+      std::uint32_t round, double identified_threshold) const override;
+
   [[nodiscard]] std::size_t memory_bytes() const noexcept override;
 
   /// Candidate receivers currently retained, ascending.
@@ -93,6 +99,11 @@ class sketch_sda_attack final : public disclosure_attack {
       std::uint32_t receiver_count);
 
  private:
+  /// The background-subtracted signal at each of `keys` (candidate ids).
+  /// Precondition: target_messages_ > 0.
+  [[nodiscard]] std::vector<double> candidate_signal(
+      const std::vector<node_id>& keys) const;
+
   workload::sketch_params params_;
   workload::count_min_sketch global_;  ///< every delivery, all rounds
   workload::count_min_sketch target_;  ///< deliveries in target rounds

@@ -21,6 +21,53 @@ std::optional<stream_backend> parse_stream_backend(const std::string& label) {
   return std::nullopt;
 }
 
+namespace {
+
+/// Sorts rows[sorted, end) into the ascending run rows[0, sorted) and sums
+/// rows that share a receiver. Counts are integers, so the result depends
+/// only on the multiset of rows, never on how or when they were folded.
+void fold_rows(receiver_counts& rows, std::size_t sorted) {
+  const auto by_receiver = [](const auto& a, const auto& b) {
+    return a.first < b.first;
+  };
+  const auto mid = rows.begin() + static_cast<std::ptrdiff_t>(sorted);
+  std::sort(mid, rows.end(), by_receiver);
+  std::inplace_merge(rows.begin(), mid, rows.end(), by_receiver);
+  std::size_t out = 0;
+  for (const auto& row : rows) {
+    if (out > 0 && rows[out - 1].first == row.first)
+      rows[out - 1].second += row.second;
+    else
+      rows[out++] = row;
+  }
+  rows.resize(out);
+}
+
+}  // namespace
+
+void streaming_accumulator::flat_counts::add(
+    const std::vector<node_id>& receivers) {
+  for (node_id v : receivers) rows_.emplace_back(v, 1);
+  fold_if_due();
+}
+
+void streaming_accumulator::flat_counts::append(const flat_counts& other) {
+  rows_.insert(rows_.end(), other.rows_.begin(), other.rows_.end());
+  fold_if_due();
+}
+
+void streaming_accumulator::flat_counts::fold_if_due() {
+  if (rows_.size() - sorted_ < sorted_ || rows_.size() == sorted_) return;
+  fold_rows(rows_, sorted_);
+  sorted_ = rows_.size();
+}
+
+receiver_counts streaming_accumulator::flat_counts::compacted() const {
+  receiver_counts out = rows_;
+  if (sorted_ < out.size()) fold_rows(out, sorted_);
+  return out;
+}
+
 streaming_accumulator::streaming_accumulator(std::vector<node_id> pair_senders,
                                              streaming_config cfg)
     : cfg_(cfg), pair_senders_(std::move(pair_senders)) {
@@ -48,7 +95,7 @@ void streaming_accumulator::ingest(const round_batch& batch) {
   ++rounds_;
   messages_ += batch.senders.size();
   if (cfg_.backend == stream_backend::exact) {
-    for (node_id v : batch.receivers) ++global_[v];
+    global_.add(batch.receivers);
   } else {
     for (node_id v : batch.receivers) global_sketch_->add(v);
   }
@@ -68,7 +115,7 @@ void streaming_accumulator::ingest(const round_batch& batch) {
       exact_pair& ep = exact_pairs_[p];
       ++ep.target_rounds;
       ep.target_messages += batch.senders.size();
-      for (node_id v : batch.receivers) ++ep.receivers[v];
+      ep.receivers.add(batch.receivers);
     } else {
       sketch_pair& sp = sketch_pairs_[p];
       ++sp.target_rounds;
@@ -89,13 +136,12 @@ void streaming_accumulator::merge(const streaming_accumulator& other) {
   rounds_ += other.rounds_;
   messages_ += other.messages_;
   if (cfg_.backend == stream_backend::exact) {
-    for (const auto& [v, c] : other.global_) global_[v] += c;
+    global_.append(other.global_);
     for (std::size_t p = 0; p < exact_pairs_.size(); ++p) {
       exact_pairs_[p].target_rounds += other.exact_pairs_[p].target_rounds;
       exact_pairs_[p].target_messages +=
           other.exact_pairs_[p].target_messages;
-      for (const auto& [v, c] : other.exact_pairs_[p].receivers)
-        exact_pairs_[p].receivers[v] += c;
+      exact_pairs_[p].receivers.append(other.exact_pairs_[p].receivers);
     }
   } else {
     global_sketch_->merge(*other.global_sketch_);
@@ -129,13 +175,13 @@ cooccurrence_result streaming_accumulator::totals() const {
   cooccurrence_result out;
   out.rounds = rounds_;
   out.messages = messages_;
-  out.global_receiver_counts.assign(global_.begin(), global_.end());
+  out.global_receiver_counts = global_.compacted();
   out.per_pair.resize(exact_pairs_.size());
   for (std::size_t p = 0; p < exact_pairs_.size(); ++p) {
     out.per_pair[p].target_rounds = exact_pairs_[p].target_rounds;
     out.per_pair[p].target_messages = exact_pairs_[p].target_messages;
-    out.per_pair[p].target_receiver_counts.assign(
-        exact_pairs_[p].receivers.begin(), exact_pairs_[p].receivers.end());
+    out.per_pair[p].target_receiver_counts =
+        exact_pairs_[p].receivers.compacted();
   }
   return out;
 }
@@ -200,16 +246,13 @@ const bottom_k_sample& streaming_accumulator::candidate_sample(
 }
 
 std::size_t streaming_accumulator::memory_bytes() const {
-  // Map nodes: payload plus red-black bookkeeping (parent/children/color).
-  constexpr std::size_t node_overhead =
-      sizeof(std::pair<node_id, std::uint64_t>) + 4 * sizeof(void*);
   std::size_t bytes = sizeof(*this) +
                       pair_of_sender_.capacity() *
                           sizeof(std::pair<node_id, std::uint32_t>);
   if (cfg_.backend == stream_backend::exact) {
-    bytes += global_.size() * node_overhead;
+    bytes += global_.memory_bytes();
     for (const exact_pair& ep : exact_pairs_)
-      bytes += sizeof(ep) + ep.receivers.size() * node_overhead;
+      bytes += sizeof(ep) + ep.receivers.memory_bytes();
   } else {
     bytes += global_sketch_->memory_bytes();
     for (const sketch_pair& sp : sketch_pairs_)

@@ -1,7 +1,6 @@
 #pragma once
 
 #include <cstdint>
-#include <map>
 #include <optional>
 #include <string>
 #include <vector>
@@ -13,8 +12,10 @@
 namespace anonpath::workload {
 
 /// Which state the streaming accumulator keeps per ingested round.
-///   * exact  — sparse per-receiver maps; totals() is bit-identical to
-///              accumulate_cooccurrence over the same rounds.
+///   * exact  — flat 16-byte (receiver, count) rows per pair and
+///              globally, growing with the distinct receivers seen;
+///              totals() is bit-identical to accumulate_cooccurrence over
+///              the same rounds.
 ///   * sketch — count-min counts plus a weighted bottom-k candidate
 ///              reservoir per pair; memory is O(depth*width + candidates),
 ///              independent of the receiver population, with per-key error
@@ -106,10 +107,31 @@ class streaming_accumulator {
   [[nodiscard]] std::size_t memory_bytes() const;
 
  private:
+  /// Exact counts as one flat vector: an ascending, duplicate-free run of
+  /// (receiver, count) rows followed by an unsorted pending tail. The tail
+  /// is folded into the run once it grows as large as the run, so ingest
+  /// and merge cost amortised O(log n) per row and stay contiguous.
+  class flat_counts {
+   public:
+    /// Appends one count per receiver occurrence.
+    void add(const std::vector<node_id>& receivers);
+    /// Appends every row of `other` (run and tail alike).
+    void append(const flat_counts& other);
+    /// The counts as ascending, duplicate-free rows.
+    [[nodiscard]] receiver_counts compacted() const;
+    [[nodiscard]] std::size_t memory_bytes() const noexcept {
+      return rows_.capacity() * sizeof(receiver_counts::value_type);
+    }
+
+   private:
+    void fold_if_due();
+    receiver_counts rows_;
+    std::size_t sorted_ = 0;  ///< rows_[0, sorted_) is the ascending run
+  };
   struct exact_pair {
     std::uint64_t target_rounds = 0;
     std::uint64_t target_messages = 0;
-    std::map<node_id, std::uint64_t> receivers;
+    flat_counts receivers;
   };
   struct sketch_pair {
     std::uint64_t target_rounds = 0;
@@ -125,7 +147,7 @@ class streaming_accumulator {
   std::uint64_t rounds_ = 0;
   std::uint64_t messages_ = 0;
   // Exact backend state.
-  std::map<node_id, std::uint64_t> global_;
+  flat_counts global_;
   std::vector<exact_pair> exact_pairs_;
   // Sketch backend state.
   std::optional<count_min_sketch> global_sketch_;

@@ -10,6 +10,8 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <cstring>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -19,6 +21,7 @@
 #include "src/attack/sequential_bayes.hpp"
 #include "src/attack/sketch_sda.hpp"
 #include "src/stats/rng.hpp"
+#include "src/workload/cooccurrence.hpp"
 
 namespace anonpath::attack {
 namespace {
@@ -200,6 +203,198 @@ TEST(AttackConformance, BayesSupportEqualsIntersectionOnCrispData) {
     for (node_id r = 0; r < f.receivers; ++r)
       if (post[r] > 0.0) support.push_back(r);
     EXPECT_EQ(support, inter.candidates()) << f.name;
+  }
+}
+
+// ---- summarize(): the sparse trajectory point equals the dense one --------
+
+bool same_bits(double a, double b) {
+  return std::memcmp(&a, &b, sizeof(double)) == 0;
+}
+
+/// engine.summarize() against summarize_posterior over the dense posterior,
+/// field by field, doubles compared bit for bit (so +0.0 vs -0.0 counts).
+void expect_summary_matches_dense(const disclosure_attack& engine,
+                                  std::uint32_t round, const std::string& what) {
+  for (const double threshold : {0.01, 0.5, 0.99}) {
+    const trajectory_point sparse = engine.summarize(round, threshold);
+    const trajectory_point dense =
+        summarize_posterior(engine.posterior(), round, threshold);
+    EXPECT_EQ(sparse.round, dense.round) << what;
+    EXPECT_TRUE(same_bits(sparse.entropy_bits, dense.entropy_bits))
+        << what << ": entropy " << sparse.entropy_bits << " vs "
+        << dense.entropy_bits;
+    EXPECT_TRUE(same_bits(sparse.top_mass, dense.top_mass))
+        << what << ": top mass " << sparse.top_mass << " vs "
+        << dense.top_mass;
+    EXPECT_EQ(sparse.top_receiver, dense.top_receiver) << what;
+    EXPECT_EQ(sparse.identified, dense.identified) << what;
+  }
+}
+
+/// A random membership stream: rounds of 1..max_size receivers drawn from a
+/// hot set of `hot` ids (heavy repetition, frequent count ties) or, with
+/// probability 1/4, from the whole population.
+std::vector<round_observation> random_stream(std::uint32_t receivers,
+                                             std::uint32_t rounds,
+                                             std::uint32_t max_size,
+                                             std::uint32_t hot,
+                                             std::uint64_t seed) {
+  stats::rng gen(seed);
+  std::vector<round_observation> out(rounds);
+  for (round_observation& obs : out) {
+    obs.target_present = gen.next_below(3) != 0;
+    const std::uint64_t size = 1 + gen.next_below(max_size);
+    for (std::uint64_t j = 0; j < size; ++j)
+      obs.receivers.push_back(static_cast<node_id>(
+          gen.next_below(4) == 0 ? gen.next_below(receivers)
+                                 : gen.next_below(hot)));
+  }
+  return out;
+}
+
+/// Feeds `stream` and checks the summary after every round (and before the
+/// first, on the uniform prior).
+void check_every_round(disclosure_attack& engine,
+                       const std::vector<round_observation>& stream,
+                       const std::string& what) {
+  expect_summary_matches_dense(engine, 0, what + " (prior)");
+  for (std::uint32_t r = 0; r < stream.size(); ++r) {
+    engine.observe_round(stream[r]);
+    expect_summary_matches_dense(engine, r + 1,
+                                 what + " round " + std::to_string(r + 1));
+  }
+}
+
+TEST(SummarizeSparse, SdaStreamingMatchesDenseOnRandomInstances) {
+  for (std::uint64_t seed = 1; seed <= 12; ++seed) {
+    const std::uint32_t receivers = 2 + static_cast<std::uint32_t>(seed * 37);
+    const auto stream = random_stream(
+        receivers, 60, 1 + static_cast<std::uint32_t>(seed % 9),
+        std::min<std::uint32_t>(receivers, 5), seed);
+    sda_attack engine(receivers);
+    check_every_round(engine, stream, "sda seed " + std::to_string(seed));
+  }
+}
+
+TEST(SummarizeSparse, SdaFromCountsMatchesDense) {
+  // Counts gathered by the accumulator's rule, replayed through from_counts
+  // — including target rows that carry an explicit zero count.
+  for (std::uint64_t seed = 1; seed <= 6; ++seed) {
+    const std::uint32_t receivers = 40;
+    const auto stream = random_stream(receivers, 50, 6, 8, 100 + seed);
+    workload::cooccurrence_result totals;
+    totals.per_pair.resize(1);
+    std::vector<std::uint64_t> global(receivers, 0), target(receivers, 0);
+    for (const round_observation& obs : stream) {
+      ++totals.rounds;
+      totals.messages += obs.receivers.size();
+      for (node_id v : obs.receivers) ++global[v];
+      if (!obs.target_present) continue;
+      ++totals.per_pair[0].target_rounds;
+      totals.per_pair[0].target_messages += obs.receivers.size();
+      for (node_id v : obs.receivers) ++target[v];
+    }
+    for (node_id v = 0; v < receivers; ++v) {
+      if (global[v] == 0) continue;
+      totals.global_receiver_counts.emplace_back(v, global[v]);
+      if (target[v] > 0 || v % 3 == 0)
+        totals.per_pair[0].target_receiver_counts.emplace_back(v, target[v]);
+    }
+    const sda_attack engine = sda_attack::from_counts(totals, 0, receivers);
+    expect_summary_matches_dense(engine, 50,
+                                 "from_counts seed " + std::to_string(seed));
+  }
+}
+
+TEST(SummarizeSparse, SdaUniformFallbacksMatchDense) {
+  // Zero target rounds: only background evidence, so the uniform prior.
+  sda_attack background_only(7);
+  round_observation obs;
+  obs.receivers = {1, 1, 4};
+  background_only.observe_round(obs);
+  expect_summary_matches_dense(background_only, 1, "zero target rounds");
+
+  // All-nonpositive signal: inconsistent (but accepted) totals whose target
+  // messages exceed the target rows, so every signal entry is <= 0.
+  workload::cooccurrence_result totals;
+  totals.rounds = 2;
+  totals.messages = 10;
+  totals.global_receiver_counts = {{0, 5}, {1, 5}};
+  totals.per_pair.resize(1);
+  totals.per_pair[0].target_rounds = 1;
+  totals.per_pair[0].target_messages = 5;
+  totals.per_pair[0].target_receiver_counts = {{0, 1}};
+  const sda_attack nonpositive = sda_attack::from_counts(totals, 0, 3);
+  for (double s : nonpositive.signal()) ASSERT_LE(s, 0.0);
+  expect_summary_matches_dense(nonpositive, 2, "all-nonpositive signal");
+
+  // m-bar < 1 (fewer target messages than target rounds): receivers never
+  // seen in a target round get positive signal, so the dense path decides.
+  totals.per_pair[0].target_rounds = 2;
+  totals.per_pair[0].target_messages = 1;
+  totals.per_pair[0].target_receiver_counts = {{0, 1}};
+  const sda_attack thin = sda_attack::from_counts(totals, 0, 3);
+  expect_summary_matches_dense(thin, 2, "m-bar below one");
+}
+
+TEST(SummarizeSparse, SdaMeanBatchOfOneMatchesDense) {
+  // m-bar == 1: every target round delivers one message, so (m-bar - 1)
+  // scales the background by exactly zero.
+  stats::rng gen(77);
+  std::vector<round_observation> stream(40);
+  for (round_observation& obs : stream) {
+    obs.target_present = gen.next_below(2) == 0;
+    obs.receivers.push_back(static_cast<node_id>(gen.next_below(6)));
+    if (!obs.target_present)
+      obs.receivers.push_back(static_cast<node_id>(gen.next_below(6)));
+  }
+  sda_attack engine(9);
+  check_every_round(engine, stream, "m-bar 1");
+}
+
+TEST(SummarizeSparse, TopTiesResolveToTheSmallestId) {
+  sda_attack engine(10);
+  round_observation obs;
+  obs.target_present = true;
+  obs.receivers = {7, 3};
+  engine.observe_round(obs);
+  engine.observe_round(obs);
+  const trajectory_point pt = engine.summarize(2, 0.3);
+  EXPECT_EQ(pt.top_receiver, 3u);
+  EXPECT_DOUBLE_EQ(pt.top_mass, 0.5);
+  EXPECT_TRUE(pt.identified);
+  expect_summary_matches_dense(engine, 2, "tie at the top");
+}
+
+TEST(SummarizeSparse, SketchSdaMatchesDenseSaturatedOrNot) {
+  for (std::uint64_t seed = 1; seed <= 6; ++seed) {
+    const auto stream = random_stream(300, 60, 8, 12, 200 + seed);
+    workload::sketch_params roomy;  // default: 512 candidates, wide rows
+    sketch_sda_attack unsaturated(300, roomy);
+    check_every_round(unsaturated, stream,
+                      "sketch unsaturated seed " + std::to_string(seed));
+    EXPECT_FALSE(unsaturated.candidates_saturated());
+
+    workload::sketch_params tight;  // tiny reservoir, colliding rows
+    tight.width = 16;
+    tight.candidates = 4;
+    sketch_sda_attack saturated(300, tight);
+    check_every_round(saturated, stream,
+                      "sketch saturated seed " + std::to_string(seed));
+    EXPECT_TRUE(saturated.candidates_saturated());
+  }
+}
+
+TEST(SummarizeSparse, DefaultPathEnginesMatchDense) {
+  // Engines without an override take summarize_posterior(posterior()).
+  for (const attack_kind kind :
+       {attack_kind::intersection, attack_kind::sequential_bayes}) {
+    const auto stream = random_stream(25, 30, 5, 6, 300);
+    std::vector<round_observation> crisp = stream;
+    for (round_observation& obs : crisp) obs.receivers.push_back(24);
+    const auto engine = make_attack(kind, 25);
+    check_every_round(*engine, crisp, attack_kind_label(kind));
   }
 }
 

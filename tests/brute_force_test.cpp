@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <ostream>
 
 #include "src/anonymity/analytic.hpp"
 #include "src/anonymity/posterior.hpp"
@@ -57,6 +58,10 @@ struct dist_case {
   const char* name;
   path_length_distribution (*make)();
 };
+
+// Without a printer gtest dumps the raw bytes, pointers included, into the
+// test's listed name, which then changes from run to run.
+void PrintTo(const dist_case& c, std::ostream* os) { *os << c.name; }
 
 class AnalyticVsBruteForce : public ::testing::TestWithParam<dist_case> {};
 

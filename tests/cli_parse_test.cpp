@@ -17,6 +17,8 @@
 #include <string>
 #include <vector>
 
+#include "src/obs/jsonl.hpp"
+
 namespace {
 
 std::string cli_binary() {
@@ -308,6 +310,39 @@ TEST_F(CliParse, ObsFlagValidation) {
   EXPECT_NE(progress.stderr_text.find("# progress: campaign cells"),
             std::string::npos)
       << progress.stderr_text;
+  std::remove(metrics.c_str());
+}
+
+TEST_F(CliParse, AttackMetricsTraceHasASingleRoot) {
+  // Every phase of 'attack' (the exact session, the sharded cross-checks,
+  // the sketch session) nests under one attack.run root, so the trace
+  // accounts for the whole command.
+  const std::string metrics = ::testing::TempDir() + "anonpath_attack." +
+                              std::to_string(::getpid()) + ".jsonl";
+  for (const std::string stream : {"exact", "sketch"}) {
+    std::remove(metrics.c_str());
+    ASSERT_EQ(run_cli("attack --users 2000 --rounds 60 --attack sda "
+                      "--threads 2 --stream " + stream + " --metrics '" +
+                      metrics + "'")
+                  .exit_code,
+              0)
+        << stream;
+    const anonpath::obs::metrics_document doc =
+        anonpath::obs::read_metrics_file(metrics);
+    std::vector<std::string> roots;
+    std::vector<std::string> children;
+    for (const anonpath::obs::span_record& span : doc.spans)
+      (span.parent == 0 ? roots : children).push_back(span.name);
+    EXPECT_EQ(roots, std::vector<std::string>{"attack.run"}) << stream;
+    const std::vector<std::string> expected =
+        stream == "exact"
+            ? std::vector<std::string>{"attack.crosscheck"}
+            : std::vector<std::string>{"attack.crosscheck", "attack.ingest",
+                                       "attack.crosscheck"};
+    EXPECT_EQ(children, expected) << stream;
+    for (const anonpath::obs::span_record& span : doc.spans)
+      if (span.parent != 0) EXPECT_EQ(span.parent, 1u) << span.name;
+  }
   std::remove(metrics.c_str());
 }
 

@@ -5,6 +5,7 @@
 
 #include <cmath>
 #include <numeric>
+#include <ostream>
 
 #include "src/anonymity/api.hpp"
 #include "src/stats/rng.hpp"
@@ -150,6 +151,11 @@ struct mc_grid_case {
   const char* label;
   path_length_distribution (*make)(std::uint32_t n);
 };
+
+// Keeps the listed test name free of pointer bytes (see brute_force_test).
+void PrintTo(const mc_grid_case& c, std::ostream* os) {
+  *os << c.label << " N=" << c.n;
+}
 
 class McAnalyticGrid : public ::testing::TestWithParam<mc_grid_case> {};
 

@@ -9,6 +9,8 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <map>
+#include <string>
 #include <vector>
 
 #include "src/attack/disclosure.hpp"
@@ -17,6 +19,7 @@
 #include "src/attack/sketch_sda.hpp"
 #include "src/stats/contract.hpp"
 #include "src/stats/error.hpp"
+#include "src/stats/rng.hpp"
 #include "src/workload/cooccurrence.hpp"
 #include "src/workload/population.hpp"
 #include "src/workload/sketch.hpp"
@@ -149,6 +152,156 @@ TEST(StreamingAccumulator, ThreadAndShardInvarianceBothBackends) {
       }
     }
   }
+}
+
+/// Rounds with heavy receiver repetition: most deliveries hit five hot ids,
+/// the rest spread over a wide id range; sizes 0..8 (empty rounds too).
+/// Senders are drawn from 0..5, so pairs tracking senders 1 and 4 see
+/// target rounds often.
+std::vector<workload::round_batch> repetitive_rounds(std::uint32_t rounds,
+                                                     std::uint64_t seed) {
+  stats::rng gen(seed);
+  std::vector<workload::round_batch> out(rounds);
+  for (std::uint32_t r = 0; r < rounds; ++r) {
+    out[r].round = r;
+    const std::uint64_t size = gen.next_below(9);
+    for (std::uint64_t j = 0; j < size; ++j) {
+      out[r].senders.push_back(static_cast<node_id>(gen.next_below(6)));
+      out[r].receivers.push_back(static_cast<node_id>(
+          gen.next_below(4) == 0 ? 1000 + gen.next_below(100000)
+                                 : gen.next_below(5)));
+    }
+  }
+  return out;
+}
+
+const std::vector<node_id> kFlatSenders = {4, 1};
+
+/// The same accumulation kept in std::maps, under the accumulator's
+/// membership rule.
+workload::cooccurrence_result map_reference(
+    const std::vector<workload::round_batch>& rounds, std::size_t lo,
+    std::size_t hi) {
+  std::map<node_id, std::uint64_t> global;
+  std::vector<std::map<node_id, std::uint64_t>> target(kFlatSenders.size());
+  workload::cooccurrence_result out;
+  out.per_pair.resize(kFlatSenders.size());
+  for (std::size_t r = lo; r < hi; ++r) {
+    const workload::round_batch& b = rounds[r];
+    ++out.rounds;
+    out.messages += b.senders.size();
+    for (node_id v : b.receivers) ++global[v];
+    for (std::size_t p = 0; p < kFlatSenders.size(); ++p) {
+      if (std::find(b.senders.begin(), b.senders.end(), kFlatSenders[p]) ==
+          b.senders.end())
+        continue;
+      ++out.per_pair[p].target_rounds;
+      out.per_pair[p].target_messages += b.senders.size();
+      for (node_id v : b.receivers) ++target[p][v];
+    }
+  }
+  out.global_receiver_counts.assign(global.begin(), global.end());
+  for (std::size_t p = 0; p < kFlatSenders.size(); ++p)
+    out.per_pair[p].target_receiver_counts.assign(target[p].begin(),
+                                                  target[p].end());
+  return out;
+}
+
+workload::streaming_accumulator ingest_range(
+    const std::vector<workload::round_batch>& rounds, std::size_t lo,
+    std::size_t hi) {
+  workload::streaming_accumulator acc(kFlatSenders);
+  for (std::size_t r = lo; r < hi; ++r) acc.ingest(rounds[r]);
+  return acc;
+}
+
+TEST(FlatCounts, MatchAMapReferenceAfterEveryRound) {
+  // Checking after every round sees the pending tail at every length, just
+  // below and at/above the point where it is folded into the sorted run.
+  for (std::uint64_t seed = 1; seed <= 4; ++seed) {
+    const auto rounds = repetitive_rounds(120, seed);
+    workload::streaming_accumulator acc(kFlatSenders);
+    for (std::size_t r = 0; r < rounds.size(); ++r) {
+      acc.ingest(rounds[r]);
+      ASSERT_EQ(acc.totals(), map_reference(rounds, 0, r + 1))
+          << "seed " << seed << " after round " << r;
+    }
+  }
+}
+
+TEST(FlatCounts, CompactionBoundaryIsInvisible) {
+  // A run of 8 distinct receivers, then pending tails of 7 (below the fold
+  // point), 8 (at it) and 9 (above it) rows, each alone and merged.
+  std::vector<workload::round_batch> rounds(4);
+  rounds[0].receivers = {9, 2, 7, 0, 5, 3, 8, 1};
+  rounds[1].receivers = {2, 2, 9, 6, 6, 0, 3};
+  rounds[2].receivers = {6};
+  rounds[3].receivers = {1, 1, 1, 4, 4, 4, 0, 0, 0};
+  for (std::size_t r = 0; r < rounds.size(); ++r) {
+    rounds[r].round = static_cast<std::uint32_t>(r);
+    rounds[r].senders.assign(rounds[r].receivers.size(), r % 2 == 0 ? 4 : 1);
+  }
+  for (std::size_t hi = 0; hi <= rounds.size(); ++hi) {
+    EXPECT_EQ(ingest_range(rounds, 0, hi).totals(),
+              map_reference(rounds, 0, hi))
+        << "prefix " << hi;
+    for (std::size_t lo = 0; lo <= hi; ++lo) {
+      workload::streaming_accumulator merged = ingest_range(rounds, 0, lo);
+      merged.merge(ingest_range(rounds, lo, hi));
+      EXPECT_EQ(merged.totals(), map_reference(rounds, 0, hi))
+          << "merge [0," << lo << ") + [" << lo << "," << hi << ")";
+    }
+  }
+}
+
+TEST(FlatCounts, EveryMergeSplitAndOrderMatchesTheReference) {
+  const auto rounds = repetitive_rounds(40, 9);
+  const workload::cooccurrence_result reference =
+      map_reference(rounds, 0, rounds.size());
+  for (std::size_t k = 0; k <= rounds.size(); ++k) {
+    workload::streaming_accumulator head = ingest_range(rounds, 0, k);
+    workload::streaming_accumulator tail = ingest_range(rounds, k, rounds.size());
+    workload::streaming_accumulator tail_first = tail;
+    head.merge(tail);
+    tail_first.merge(ingest_range(rounds, 0, k));
+    EXPECT_EQ(head.totals(), reference) << "split " << k;
+    EXPECT_EQ(tail_first.totals(), reference) << "split " << k << " reversed";
+  }
+  // Three-way splits, folded in all six orders.
+  for (std::size_t i = 0; i <= rounds.size(); i += 5) {
+    for (std::size_t j = i; j <= rounds.size(); j += 7) {
+      const std::vector<workload::streaming_accumulator> parts = {
+          ingest_range(rounds, 0, i), ingest_range(rounds, i, j),
+          ingest_range(rounds, j, rounds.size())};
+      std::vector<std::size_t> order = {0, 1, 2};
+      do {
+        workload::streaming_accumulator acc = parts[order[0]];
+        acc.merge(parts[order[1]]);
+        acc.merge(parts[order[2]]);
+        EXPECT_EQ(acc.totals(), reference)
+            << "splits " << i << "," << j << " order " << order[0]
+            << order[1] << order[2];
+      } while (std::next_permutation(order.begin(), order.end()));
+    }
+  }
+}
+
+TEST(FlatCounts, EmptyAccumulatorsMergeAsIdentity) {
+  const auto rounds = repetitive_rounds(30, 5);
+  const workload::cooccurrence_result reference =
+      map_reference(rounds, 0, rounds.size());
+  const workload::streaming_accumulator empty(kFlatSenders);
+  EXPECT_EQ(empty.totals(), map_reference(rounds, 0, 0));
+  workload::streaming_accumulator both_empty = empty;
+  both_empty.merge(empty);
+  EXPECT_EQ(both_empty.totals(), map_reference(rounds, 0, 0));
+  workload::streaming_accumulator into_empty = empty;
+  into_empty.merge(ingest_range(rounds, 0, rounds.size()));
+  EXPECT_EQ(into_empty.totals(), reference);
+  workload::streaming_accumulator from_empty =
+      ingest_range(rounds, 0, rounds.size());
+  from_empty.merge(empty);
+  EXPECT_EQ(from_empty.totals(), reference);
 }
 
 TEST(OnlineAttack, SnapshotMatchesADirectEngineAtEveryRound) {

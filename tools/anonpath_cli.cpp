@@ -60,6 +60,7 @@
 #include <map>
 #include <optional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include <chrono>
@@ -1479,6 +1480,13 @@ int cmd_attack(const options& opt) {
   if (opt.threshold <= 0.0 || opt.threshold >= 1.0)
     usage("--threshold must be in (0, 1)");
 
+  obs::metrics_registry reg;
+  obs::tracer tracer;
+  obs::tracer* const tp = opt.metrics_path.empty() ? nullptr : &tracer;
+  // Every phase below (exact session, cross-checks, sketch session) nests
+  // under this one root, closed before the snapshot is written.
+  std::optional<obs::span> root(std::in_place, tp, "attack.run");
+
   const workload::population pop(cfg);
   // Sub-unit send rates make round membership noisy (a coincidental
   // background send marks a partnerless round); give the Bayes engine the
@@ -1505,18 +1513,12 @@ int cmd_attack(const options& opt) {
   const std::uint32_t stride =
       opt.every != 0 ? opt.every : std::max(1u, cfg.round_count / 100);
 
-  obs::metrics_registry reg;
-  obs::tracer tracer;
-  obs::tracer* const tp = opt.metrics_path.empty() ? nullptr : &tracer;
   obs::progress_meter progress("attack rounds", cfg.round_count,
                                opt.progress);
   progress.advance(0);
   const auto t0 = std::chrono::steady_clock::now();
-  const attack::attack_result result = [&] {
-    obs::span run_span(tp, "attack.run");
-    return attack::run_workload_attack(pop, 0, *engine, opt.threshold,
-                                       stride);
-  }();
+  const attack::attack_result result =
+      attack::run_workload_attack(pop, 0, *engine, opt.threshold, stride);
   const auto t1 = std::chrono::steady_clock::now();
   progress.advance(cfg.round_count);
   if (tp != nullptr) {
@@ -1558,22 +1560,28 @@ int cmd_attack(const options& opt) {
     // bit for bit; a mismatch is a determinism bug, reported loudly.
     workload::cooccurrence_config ccfg;
     ccfg.threads = opt.threads;
-    const workload::streaming_accumulator exact_acc =
-        workload::accumulate_streaming(pop, 0, cfg.round_count,
-                                       workload::streaming_config{}, ccfg);
-    const workload::cooccurrence_result totals = exact_acc.totals();
+    workload::cooccurrence_result totals;
+    std::size_t exact_bytes = 0;
+    {
+      obs::span check_span(tp, "attack.crosscheck");
+      const workload::streaming_accumulator exact_acc =
+          workload::accumulate_streaming(pop, 0, cfg.round_count,
+                                         workload::streaming_config{}, ccfg);
+      totals = exact_acc.totals();
+      exact_bytes = exact_acc.memory_bytes();
+      const attack::sda_attack parallel_sda =
+          attack::sda_attack::from_counts(totals, 0, cfg.receiver_count);
+      if (parallel_sda.posterior() != result.final_posterior) {
+        std::fprintf(stderr,
+                     "# ERROR: sharded accumulator diverged from streaming "
+                     "counts\n");
+        return 1;
+      }
+    }
     if (tp != nullptr) {
       reg.add_counter("stream.rounds_accumulated", totals.rounds);
       reg.set_gauge("stream.exact_memory_bytes",
-                    static_cast<double>(exact_acc.memory_bytes()));
-    }
-    const attack::sda_attack parallel_sda =
-        attack::sda_attack::from_counts(totals, 0, cfg.receiver_count);
-    if (parallel_sda.posterior() != result.final_posterior) {
-      std::fprintf(stderr,
-                   "# ERROR: sharded accumulator diverged from streaming "
-                   "counts\n");
-      return 1;
+                    static_cast<double>(exact_bytes));
     }
     std::fprintf(stderr,
                  "# accumulator cross-check (%u threads over %llu rounds): "
@@ -1611,19 +1619,22 @@ int cmd_attack(const options& opt) {
 
       // The sharded sketch accumulation must reproduce online ingestion
       // bit for bit — same contract as the exact path above.
-      workload::streaming_config scfg;
-      scfg.backend = workload::stream_backend::sketch;
-      const workload::streaming_accumulator sketch_acc =
-          workload::accumulate_streaming(pop, 0, cfg.round_count, scfg,
-                                         ccfg);
-      const attack::sketch_sda_attack sharded =
-          attack::sketch_sda_attack::from_accumulator(sketch_acc, 0,
-                                                      cfg.receiver_count);
-      if (sharded.posterior() != sres.final_posterior) {
-        std::fprintf(stderr,
-                     "# ERROR: sharded sketch accumulator diverged from "
-                     "online ingestion\n");
-        return 1;
+      {
+        obs::span check_span(tp, "attack.crosscheck");
+        workload::streaming_config scfg;
+        scfg.backend = workload::stream_backend::sketch;
+        const workload::streaming_accumulator sketch_acc =
+            workload::accumulate_streaming(pop, 0, cfg.round_count, scfg,
+                                           ccfg);
+        const attack::sketch_sda_attack sharded =
+            attack::sketch_sda_attack::from_accumulator(sketch_acc, 0,
+                                                        cfg.receiver_count);
+        if (sharded.posterior() != sres.final_posterior) {
+          std::fprintf(stderr,
+                       "# ERROR: sharded sketch accumulator diverged from "
+                       "online ingestion\n");
+          return 1;
+        }
       }
       const auto& online_sketch =
           static_cast<const attack::sketch_sda_attack&>(online.engine());
@@ -1690,11 +1701,12 @@ int cmd_attack(const options& opt) {
       std::fprintf(stderr,
                    "# memory: sketch engine %zu bytes, exact accumulator "
                    "%zu bytes (exact/sketch ratio %.2f)\n",
-                   online.memory_bytes(), exact_acc.memory_bytes(),
-                   static_cast<double>(exact_acc.memory_bytes()) /
+                   online.memory_bytes(), exact_bytes,
+                   static_cast<double>(exact_bytes) /
                        static_cast<double>(online.memory_bytes()));
     }
   }
+  root.reset();
   if (tp != nullptr)
     obs::write_metrics_file(opt.metrics_path, reg.snapshot(), tracer.spans());
   return 0;
