@@ -1,9 +1,9 @@
 #include "src/net/route_plan.hpp"
 
 #include <algorithm>
+#include <cfloat>
 #include <cstdio>
 #include <limits>
-#include <queue>
 
 #include "src/stats/contract.hpp"
 
@@ -19,89 +19,178 @@ std::uint64_t arc_key(node_id u, node_id v) {
 }
 
 struct heap_item {
-  double dist;
+  double key;  ///< tentative distance (ordered pass) or g + h (bound pass)
   node_id node;
 };
 
 /// Min-heap order with ascending-id tie-breaking: the smaller node id pops
-/// first among equal distances, which pins the settle order (and thus
-/// every parent choice) regardless of insertion history.
+/// first among equal keys, which pins the settle order (and thus every
+/// parent choice) regardless of insertion history.
 struct heap_greater {
   bool operator()(const heap_item& a, const heap_item& b) const {
-    if (a.dist != b.dist) return a.dist > b.dist;
+    if (a.key != b.key) return a.key > b.key;
     return a.node > b.node;
   }
 };
 
-using heap =
-    std::priority_queue<heap_item, std::vector<heap_item>, heap_greater>;
+/// Node and directed-arc bans for Yen's spur searches; empty bans restrict
+/// nothing.
+struct search_bans {
+  std::vector<char> nodes;          ///< empty, or one flag per node
+  std::vector<std::uint64_t> arcs;  ///< sorted arc_key values
 
-/// Shared Dijkstra core. Settles nodes until the heap drains or `target`
-/// settles (pass no_vertex for a full tree). `banned_nodes` (empty = none)
-/// removes nodes entirely; `banned_arcs` (sorted) removes directed
-/// traversals — both only ever non-trivial inside Yen's spur searches.
+  [[nodiscard]] bool blocks(node_id u, node_id v) const {
+    if (!nodes.empty() && nodes[v]) return true;
+    return !arcs.empty() &&
+           std::binary_search(arcs.begin(), arcs.end(), arc_key(u, v));
+  }
+};
+
+/// Scratch shared by consecutive searches over one graph. A node's `dist`
+/// and `parent` belong to the current search only when its mark is at
+/// least `base`, so a search starts in O(1) instead of resetting O(n)
+/// arrays — Yen runs one search per spur node over the same graph.
+struct search_state {
+  explicit search_state(std::uint32_t n)
+      : dist(n, inf), parent(n, no_vertex), mark(n, 0) {}
+
+  /// Starts a search: every node reads as unreached again.
+  void begin() {
+    if (base > std::numeric_limits<std::uint32_t>::max() - 3) {
+      std::fill(mark.begin(), mark.end(), 0u);
+      base = 0;
+    }
+    base += 2;
+    pq.clear();
+  }
+  [[nodiscard]] bool reached(node_id v) const { return mark[v] >= base; }
+  [[nodiscard]] bool settled(node_id v) const { return mark[v] == base + 1; }
+
+  void push(node_id v, double d, node_id from, double key) {
+    dist[v] = d;
+    parent[v] = from;
+    mark[v] = base;
+    pq.push_back({key, v});
+    std::push_heap(pq.begin(), pq.end(), heap_greater{});
+  }
+  /// Pops the next unsettled node and settles it; no_vertex once drained.
+  node_id settle_next() {
+    while (!pq.empty()) {
+      std::pop_heap(pq.begin(), pq.end(), heap_greater{});
+      const node_id u = pq.back().node;
+      pq.pop_back();
+      if (settled(u)) continue;  // lazy deletion
+      mark[u] = base + 1;
+      return u;
+    }
+    return no_vertex;
+  }
+
+  std::vector<double> dist;
+  std::vector<node_id> parent;
+  std::vector<std::uint32_t> mark;  ///< base: queued, base + 1: settled
+  std::uint32_t base = 0;
+  std::vector<heap_item> pq;
+};
+
+/// Goal-directed prune for the ordered pass: a relaxation reaching v at
+/// cost nd is skipped when nd + to_target[v] > bound. Null = no prune.
+struct goal_bound {
+  const std::vector<double>* to_target = nullptr;
+  double bound = inf;
+};
+
+/// Shared Dijkstra core, ordered by (dist, id). Settles nodes until the
+/// heap drains or `target` settles (pass no_vertex for a full tree).
 void dijkstra_core(const topology& topo, node_id source, node_id target,
-                   const std::vector<char>& banned_nodes,
-                   const std::vector<std::uint64_t>& banned_arcs,
-                   std::vector<double>& dist, std::vector<node_id>& parent,
-                   plan_counters* counters) {
-  const std::uint32_t n = topo.node_count();
-  dist.assign(n, inf);
-  parent.assign(n, no_vertex);
-  std::vector<char> settled(n, 0);
-  heap pq;
-  dist[source] = 0.0;
-  pq.push({0.0, source});
+                   const search_bans& bans, const goal_bound& goal,
+                   search_state& st, plan_counters* counters) {
+  st.begin();
+  st.push(source, 0.0, no_vertex, 0.0);
   if (counters != nullptr) ++counters->dijkstra_runs;
-  while (!pq.empty()) {
-    const heap_item top = pq.top();
-    pq.pop();
-    if (settled[top.node]) continue;  // lazy deletion
-    settled[top.node] = 1;
+  for (node_id u = st.settle_next(); u != no_vertex; u = st.settle_next()) {
     if (counters != nullptr) ++counters->nodes_settled;
-    if (top.node == target) return;
-    const neighbor_view a = topo.adjacency(top.node);
+    if (u == target) return;
+    const neighbor_view a = topo.adjacency(u);
     if (counters != nullptr) counters->edges_scanned += a.size;
     for (std::uint32_t i = 0; i < a.size; ++i) {
       const node_id v = a.ids[i];
-      if (settled[v]) continue;
-      if (!banned_nodes.empty() && banned_nodes[v]) continue;
-      if (!banned_arcs.empty() &&
-          std::binary_search(banned_arcs.begin(), banned_arcs.end(),
-                             arc_key(top.node, v)))
+      if (st.settled(v) || bans.blocks(u, v)) continue;
+      const double nd = st.dist[u] + edge_cost(a.weights[i]);
+      if (goal.to_target != nullptr && nd + (*goal.to_target)[v] > goal.bound)
         continue;
-      const double nd = top.dist + edge_cost(a.weights[i]);
-      if (nd < dist[v]) {
-        dist[v] = nd;
-        parent[v] = top.node;
-        pq.push({nd, v});
-      }
+      if (!st.reached(v) || nd < st.dist[v]) st.push(v, nd, u, nd);
     }
   }
 }
 
-/// Reads the source->t path out of a parent array; nullopt if unreached.
-std::optional<planned_path> extract_path(const std::vector<double>& dist,
-                                         const std::vector<node_id>& parent,
+/// Bound pass: A* ordered by g + h with h = to_target, an admissible and
+/// consistent lower bound under any bans (see k_shortest_paths). Returns
+/// the cost of the first source->target path it settles, or nullopt when
+/// the bans cut the target off.
+std::optional<double> astar_cost(const topology& topo, node_id source,
+                                 node_id target, const search_bans& bans,
+                                 const std::vector<double>& to_target,
+                                 search_state& st, plan_counters* counters) {
+  st.begin();
+  st.push(source, 0.0, no_vertex, to_target[source]);
+  if (counters != nullptr) ++counters->dijkstra_runs;
+  for (node_id u = st.settle_next(); u != no_vertex; u = st.settle_next()) {
+    if (counters != nullptr) ++counters->nodes_settled;
+    if (u == target) return st.dist[u];
+    const neighbor_view a = topo.adjacency(u);
+    if (counters != nullptr) counters->edges_scanned += a.size;
+    for (std::uint32_t i = 0; i < a.size; ++i) {
+      const node_id v = a.ids[i];
+      if (st.settled(v) || bans.blocks(u, v)) continue;
+      const double g = st.dist[u] + edge_cost(a.weights[i]);
+      if (!st.reached(v) || g < st.dist[v])
+        st.push(v, g, u, g + to_target[v]);
+    }
+  }
+  return std::nullopt;
+}
+
+/// Reads the source->t path out of the last search; nullopt if unreached.
+std::optional<planned_path> extract_path(const search_state& st,
                                          node_id source, node_id t) {
-  if (dist[t] == inf) return std::nullopt;
+  if (!st.reached(t)) return std::nullopt;
   planned_path p;
-  p.cost = dist[t];
-  for (node_id x = t; x != no_vertex; x = parent[x]) p.nodes.push_back(x);
+  p.cost = st.dist[t];
+  for (node_id x = t; x != no_vertex; x = st.parent[x]) p.nodes.push_back(x);
   std::reverse(p.nodes.begin(), p.nodes.end());
   ANONPATH_ENSURES(!p.nodes.empty() && p.nodes.front() == source);
   return p;
 }
 
-std::optional<planned_path> shortest_path_masked(
-    const topology& topo, node_id s, node_id t,
-    const std::vector<char>& banned_nodes,
-    const std::vector<std::uint64_t>& banned_arcs,
+/// The path the plain (dist, id)-ordered early-exit search from s returns,
+/// found goal-directed: the bound pass yields the best cost C, then the
+/// ordered pass only relaxes arcs that can still lie on a path of cost at
+/// most C + slack. Every node that can lie on an optimal path passes that
+/// test, so those nodes settle in the same relative order and pick the
+/// same parents as in the unpruned search, and the returned path (nodes
+/// and cost bits) is the same.
+std::optional<planned_path> bounded_shortest_path(
+    const topology& topo, node_id s, node_id t, const search_bans& bans,
+    const std::vector<double>& to_target, search_state& st,
     plan_counters* counters) {
-  std::vector<double> dist;
-  std::vector<node_id> parent;
-  dijkstra_core(topo, s, t, banned_nodes, banned_arcs, dist, parent, counters);
-  return extract_path(dist, parent, s, t);
+  const std::optional<double> best =
+      astar_cost(topo, s, t, bans, to_target, st, counters);
+  if (!best) return std::nullopt;
+  // C, the forward sums d(v) and the reverse-tree sums h(v) each add at
+  // most n - 1 positive edge costs, so each carries a relative rounding
+  // error of at most (n - 1) * DBL_EPSILON / 2. For v on an optimal path
+  // fl(d(v) + h(v)) can therefore exceed the computed C by about
+  // 2 * n * DBL_EPSILON * C; a bound of exactly C prunes t itself on
+  // trust-weighted graphs. Twice that first-order gap covers the
+  // higher-order terms.
+  const double slack =
+      4.0 * static_cast<double>(topo.node_count()) * DBL_EPSILON * *best;
+  dijkstra_core(topo, s, t, bans, goal_bound{&to_target, *best + slack}, st,
+                counters);
+  std::optional<planned_path> p = extract_path(st, s, t);
+  ANONPATH_ENSURES(p.has_value());
+  return p;
 }
 
 /// Candidate order inside Yen: cheapest first, ties by lexicographic node
@@ -116,17 +205,21 @@ bool candidate_less(const planned_path& a, const planned_path& b) {
 shortest_path_tree dijkstra(const topology& topo, node_id source,
                             plan_counters* counters) {
   ANONPATH_EXPECTS(source < topo.node_count());
+  search_state st(topo.node_count());
+  dijkstra_core(topo, source, no_vertex, {}, {}, st, counters);
   shortest_path_tree tree;
   tree.source = source;
-  dijkstra_core(topo, source, no_vertex, {}, {}, tree.dist, tree.parent,
-                counters);
+  tree.dist = std::move(st.dist);
+  tree.parent = std::move(st.parent);
   return tree;
 }
 
 std::optional<planned_path> shortest_path(const topology& topo, node_id s,
                                           node_id t, plan_counters* counters) {
   ANONPATH_EXPECTS(s < topo.node_count() && t < topo.node_count() && s != t);
-  return shortest_path_masked(topo, s, t, {}, {}, counters);
+  search_state st(topo.node_count());
+  dijkstra_core(topo, s, t, {}, {}, st, counters);
+  return extract_path(st, s, t);
 }
 
 std::vector<planned_path> k_shortest_paths(const topology& topo, node_id s,
@@ -135,13 +228,26 @@ std::vector<planned_path> k_shortest_paths(const topology& topo, node_id s,
   ANONPATH_EXPECTS(s < topo.node_count() && t < topo.node_count() && s != t);
   ANONPATH_EXPECTS(k >= 1);
   std::vector<planned_path> A;
+  if (k == 1) {
+    // One search: a reverse tree would cost more than it saves.
+    if (auto first = shortest_path(topo, s, t, counters))
+      A.push_back(std::move(*first));
+    return A;
+  }
+  // Edge weights are symmetric, so the tree from t gives h(v) = dist(v, t);
+  // bans only remove nodes and arcs, so h stays a consistent lower bound
+  // inside every spur search.
+  const std::vector<double> to_target = dijkstra(topo, t, counters).dist;
+  search_state st(topo.node_count());
+  search_bans bans;
+  bans.nodes.assign(topo.node_count(), 0);
   {
-    auto first = shortest_path(topo, s, t, counters);
+    auto first =
+        bounded_shortest_path(topo, s, t, bans, to_target, st, counters);
     if (!first) return A;  // unreachable (only under masks/teardown)
     A.push_back(std::move(*first));
   }
   std::vector<planned_path> B;  // candidate pool, candidate_less-sorted
-  std::vector<char> banned_nodes(topo.node_count(), 0);
   while (A.size() < k) {
     // Spur off every node of the newest accepted path except the target.
     const planned_path prev = A.back();
@@ -150,22 +256,21 @@ std::vector<planned_path> k_shortest_paths(const topology& topo, node_id s,
       const node_id spur = prev.nodes[j];
       // Ban the next arc of every accepted path sharing this root prefix,
       // so the spur search must deviate here.
-      std::vector<std::uint64_t> banned_arcs;
+      bans.arcs.clear();
       for (const planned_path& p : A)
         if (p.nodes.size() > j + 1 &&
             std::equal(prev.nodes.begin(), prev.nodes.begin() + j + 1,
                        p.nodes.begin()))
-          banned_arcs.push_back(arc_key(p.nodes[j], p.nodes[j + 1]));
-      std::sort(banned_arcs.begin(), banned_arcs.end());
-      banned_arcs.erase(std::unique(banned_arcs.begin(), banned_arcs.end()),
-                        banned_arcs.end());
+          bans.arcs.push_back(arc_key(p.nodes[j], p.nodes[j + 1]));
+      std::sort(bans.arcs.begin(), bans.arcs.end());
+      bans.arcs.erase(std::unique(bans.arcs.begin(), bans.arcs.end()),
+                      bans.arcs.end());
       // Root nodes before the spur are off limits: keeps candidates simple.
-      for (std::size_t i = 0; i < j; ++i) banned_nodes[prev.nodes[i]] = 1;
+      for (std::size_t i = 0; i < j; ++i) bans.nodes[prev.nodes[i]] = 1;
       if (counters != nullptr) ++counters->yen_spur_searches;
-      auto spur_path =
-          shortest_path_masked(topo, spur, t, banned_nodes, banned_arcs,
-                               counters);
-      for (std::size_t i = 0; i < j; ++i) banned_nodes[prev.nodes[i]] = 0;
+      auto spur_path = bounded_shortest_path(topo, spur, t, bans, to_target,
+                                             st, counters);
+      for (std::size_t i = 0; i < j; ++i) bans.nodes[prev.nodes[i]] = 0;
       if (spur_path) {
         planned_path cand;
         cand.nodes.assign(prev.nodes.begin(),

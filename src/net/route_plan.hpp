@@ -47,7 +47,10 @@ struct shortest_path_tree {
 /// thread counts, and platforms. Passing nullptr (the default everywhere)
 /// skips all accounting.
 struct plan_counters {
-  std::uint64_t dijkstra_runs = 0;   ///< full or early-exit searches started
+  /// Searches started: full trees, early-exit searches, and inside Yen at
+  /// k >= 2 the reverse tree plus each point-to-point search's bound
+  /// (A*) and ordered passes.
+  std::uint64_t dijkstra_runs = 0;
   std::uint64_t nodes_settled = 0;   ///< heap pops that settled a node
   std::uint64_t edges_scanned = 0;   ///< adjacency entries examined
   std::uint64_t yen_spur_searches = 0;  ///< masked searches inside Yen
@@ -64,7 +67,7 @@ struct plan_counters {
 
 /// Point-to-point shortest path with early exit once the target settles.
 /// nullopt only when the target is unreachable (never on a full topology;
-/// the masked variants inside Yen do hit it). Preconditions: s, t <
+/// Yen's banned spur searches do hit it). Preconditions: s, t <
 /// node_count and s != t.
 [[nodiscard]] std::optional<planned_path> shortest_path(
     const topology& topo, node_id s, node_id t,
@@ -74,6 +77,20 @@ struct plan_counters {
 /// order by (cost, lexicographic node sequence). Returns fewer than k
 /// entries when the graph has fewer simple s->t paths. Preconditions:
 /// s, t < node_count, s != t, k >= 1.
+///
+/// Cost model. k == 1 is one early-exit Dijkstra. For k >= 2 the call
+/// first builds one full reverse tree h(v) = dist(v, t), O((V + E) log V),
+/// then runs one search for the first path and one per spur node of each
+/// accepted path (at most k * (longest path) spur searches). Each search
+/// is goal-directed: an A* pass ordered by g + h finds the best cost C
+/// under the spur bans, then the plain (dist, id)-ordered Dijkstra reruns
+/// skipping every relaxation whose g + h exceeds C by more than a rounding
+/// slack, so it settles only nodes near an optimal path instead of most of
+/// the graph. The result is bit-identical to unbounded spur searches.
+/// This relies on the topology's symmetric edge costs (one weight per
+/// undirected edge), which make the tree from t a tree of distances *to*
+/// t; bans only remove nodes and arcs, so h stays a consistent lower
+/// bound in every spur search.
 [[nodiscard]] std::vector<planned_path> k_shortest_paths(
     const topology& topo, node_id s, node_id t, std::uint32_t k,
     plan_counters* counters = nullptr);

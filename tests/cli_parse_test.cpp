@@ -346,6 +346,37 @@ TEST_F(CliParse, AttackMetricsTraceHasASingleRoot) {
   std::remove(metrics.c_str());
 }
 
+TEST_F(CliParse, PlanMetricsTraceHasASingleRoot) {
+  // Every phase of 'plan' nests under one plan.run root, named like
+  // perfbench's per-layer net metrics; --progress ticks through the kpaths
+  // loop, not only the shortest-route loop.
+  const std::string metrics = ::testing::TempDir() + "anonpath_plan." +
+                              std::to_string(::getpid()) + ".jsonl";
+  std::remove(metrics.c_str());
+  const run_result run = run_cli(
+      "plan --n 300 --topology regular:4 --csr --components --routes 12 "
+      "--routing kpaths:3 --progress --metrics '" + metrics + "'");
+  ASSERT_EQ(run.exit_code, 0) << run.stderr_text;
+  EXPECT_NE(run.stderr_text.find("# progress: plan kpaths(3) routes 12/12"),
+            std::string::npos)
+      << run.stderr_text;
+  const anonpath::obs::metrics_document doc =
+      anonpath::obs::read_metrics_file(metrics);
+  std::vector<std::string> roots;
+  std::vector<std::string> children;
+  for (const anonpath::obs::span_record& span : doc.spans) {
+    (span.parent == 0 ? roots : children).push_back(span.name);
+    if (span.parent != 0) {
+      EXPECT_EQ(span.parent, 1u) << span.name;
+    }
+  }
+  EXPECT_EQ(roots, std::vector<std::string>{"plan.run"});
+  EXPECT_EQ(children,
+            (std::vector<std::string>{"net.build", "net.components",
+                                      "net.dijkstra", "net.yen"}));
+  std::remove(metrics.c_str());
+}
+
 TEST_F(CliParse, WriteFailuresExitNonzeroWithDiagnostic) {
   // Output that cannot land must never yield exit 0. /dev/full accepts the
   // open and fails the flush (ENOSPC); a pipe whose reader is gone raises

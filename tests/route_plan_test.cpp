@@ -1,13 +1,16 @@
 // Conformance layer for src/net/route_plan: Dijkstra distances and Yen's
 // k-shortest-paths pinned against exhaustive simple-path enumeration on
-// N <= 8 fixtures, connected components (full and masked), CSR/vector
-// storage equivalence, and the route_planner's selection model.
+// N <= 8 fixtures, the goal-directed Yen pinned bit for bit to a plain
+// masked-Dijkstra reference Yen, connected components (full and masked),
+// CSR/vector storage equivalence, and the route_planner's selection model.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
 #include <limits>
+#include <queue>
 #include <vector>
 
 #include "src/net/route_plan.hpp"
@@ -87,6 +90,137 @@ void check_path_valid(const topology& topo, const planned_path& p, node_id s,
   }
   EXPECT_NEAR(p.cost, cost, 1e-12);
 }
+
+/// Reference Yen: every search is a plain (dist, id)-ordered early-exit
+/// Dijkstra under the spur bans, with no goal direction. The library's
+/// k_shortest_paths must reproduce it bit for bit.
+std::optional<planned_path> reference_masked_path(
+    const topology& topo, node_id s, node_id t,
+    const std::vector<char>& banned_nodes,
+    const std::vector<std::uint64_t>& banned_arcs) {
+  struct item {
+    double dist;
+    node_id node;
+  };
+  const auto greater = [](const item& a, const item& b) {
+    if (a.dist != b.dist) return a.dist > b.dist;
+    return a.node > b.node;
+  };
+  const std::uint32_t n = topo.node_count();
+  std::vector<double> dist(n, std::numeric_limits<double>::infinity());
+  std::vector<node_id> parent(n, no_vertex);
+  std::vector<char> settled(n, 0);
+  std::priority_queue<item, std::vector<item>, decltype(greater)> pq(greater);
+  dist[s] = 0.0;
+  pq.push({0.0, s});
+  while (!pq.empty()) {
+    const item top = pq.top();
+    pq.pop();
+    if (settled[top.node]) continue;
+    settled[top.node] = 1;
+    if (top.node == t) break;
+    const neighbor_view a = topo.adjacency(top.node);
+    for (std::uint32_t i = 0; i < a.size; ++i) {
+      const node_id v = a.ids[i];
+      const std::uint64_t arc = (std::uint64_t{top.node} << 32) | v;
+      if (settled[v] || banned_nodes[v] ||
+          std::binary_search(banned_arcs.begin(), banned_arcs.end(), arc))
+        continue;
+      const double nd = top.dist + edge_cost(a.weights[i]);
+      if (nd < dist[v]) {
+        dist[v] = nd;
+        parent[v] = top.node;
+        pq.push({nd, v});
+      }
+    }
+  }
+  if (!settled[t]) return std::nullopt;
+  planned_path p;
+  p.cost = dist[t];
+  for (node_id x = t; x != no_vertex; x = parent[x]) p.nodes.push_back(x);
+  std::reverse(p.nodes.begin(), p.nodes.end());
+  return p;
+}
+
+std::vector<planned_path> reference_yen(const topology& topo, node_id s,
+                                        node_id t, std::uint32_t k,
+                                        std::uint64_t& spur_searches) {
+  const auto less = [](const planned_path& a, const planned_path& b) {
+    if (a.cost != b.cost) return a.cost < b.cost;
+    return a.nodes < b.nodes;
+  };
+  std::vector<char> banned_nodes(topo.node_count(), 0);
+  std::vector<planned_path> A;
+  if (auto first = reference_masked_path(topo, s, t, banned_nodes, {}))
+    A.push_back(std::move(*first));
+  else
+    return A;
+  std::vector<planned_path> B;
+  while (A.size() < k) {
+    const planned_path prev = A.back();
+    double root_cost = 0.0;
+    for (std::size_t j = 0; j + 1 < prev.nodes.size(); ++j) {
+      std::vector<std::uint64_t> banned_arcs;
+      for (const planned_path& p : A)
+        if (p.nodes.size() > j + 1 &&
+            std::equal(prev.nodes.begin(), prev.nodes.begin() + j + 1,
+                       p.nodes.begin()))
+          banned_arcs.push_back((std::uint64_t{p.nodes[j]} << 32) |
+                                p.nodes[j + 1]);
+      std::sort(banned_arcs.begin(), banned_arcs.end());
+      for (std::size_t i = 0; i < j; ++i) banned_nodes[prev.nodes[i]] = 1;
+      ++spur_searches;
+      auto spur = reference_masked_path(topo, prev.nodes[j], t, banned_nodes,
+                                        banned_arcs);
+      for (std::size_t i = 0; i < j; ++i) banned_nodes[prev.nodes[i]] = 0;
+      if (spur) {
+        planned_path cand;
+        cand.nodes.assign(prev.nodes.begin(),
+                          prev.nodes.begin() + static_cast<std::ptrdiff_t>(j));
+        cand.nodes.insert(cand.nodes.end(), spur->nodes.begin(),
+                          spur->nodes.end());
+        cand.cost = root_cost + spur->cost;
+        const auto same = [&](const planned_path& p) {
+          return p.nodes == cand.nodes;
+        };
+        if (std::none_of(A.begin(), A.end(), same) &&
+            std::none_of(B.begin(), B.end(), same))
+          B.insert(std::lower_bound(B.begin(), B.end(), cand, less),
+                   std::move(cand));
+      }
+      root_cost +=
+          edge_cost(topo.edge_weight(prev.nodes[j], prev.nodes[j + 1]));
+    }
+    if (B.empty()) break;
+    A.push_back(std::move(B.front()));
+    B.erase(B.begin());
+  }
+  return A;
+}
+
+/// k_shortest_paths vs reference_yen on one query: the same node
+/// sequences, the same cost bits, the same number of spur searches.
+void expect_reference_yen(const topology& topo, node_id s, node_id t,
+                          std::uint32_t k) {
+  std::uint64_t want_spurs = 0;
+  const auto want = reference_yen(topo, s, t, k, want_spurs);
+  plan_counters counters;
+  const auto got = k_shortest_paths(topo, s, t, k, &counters);
+  const std::string where = topo.config().label() +
+                            (topo.is_csr() ? " csr " : " ") +
+                            std::to_string(s) + "->" + std::to_string(t) +
+                            " k=" + std::to_string(k);
+  EXPECT_EQ(counters.yen_spur_searches, want_spurs) << where;
+  ASSERT_EQ(got.size(), want.size()) << where;
+  for (std::size_t i = 0; i < got.size(); ++i) {
+    EXPECT_EQ(got[i].nodes, want[i].nodes) << where << " rank " << i;
+    EXPECT_EQ(std::memcmp(&got[i].cost, &want[i].cost, sizeof(double)), 0)
+        << where << " rank " << i << ": " << got[i].cost << " vs "
+        << want[i].cost;
+  }
+}
+
+constexpr std::uint32_t reference_ks[] = {1, 2, 3, 5, 8, 16, 64};
 
 TEST(RoutePlan, DijkstraMatchesBruteForceDistances) {
   for (const auto& topo : fixture_graphs()) {
@@ -170,6 +304,66 @@ TEST(RoutePlan, YenMatchesBruteForceEnumeration) {
       }
     }
   }
+}
+
+TEST(RoutePlan, YenMatchesReferenceOnFixtures) {
+  // Every pair of every fixture, including ring(8, 1) at k = 64, where the
+  // bans exhaust the two simple paths long before k.
+  for (const auto& topo : fixture_graphs())
+    for (node_id s = 0; s < topo.node_count(); ++s)
+      for (node_id t = 0; t < topo.node_count(); ++t)
+        if (s != t)
+          for (std::uint32_t k : reference_ks)
+            expect_reference_yen(topo, s, t, k);
+}
+
+TEST(RoutePlan, YenMatchesReferenceOnTrustWeightedGraphs) {
+  // Non-integer costs: the goal-directed bound must absorb the rounding
+  // gap between forward sums and reverse-tree sums.
+  for (double decay : {0.3, 0.45, 0.6, 0.75, 0.9}) {
+    const auto topo = topology::trust_weighted(13, decay);
+    for (node_id s : {0u, 4u})
+      for (node_id t = 0; t < topo.node_count(); ++t)
+        if (s != t)
+          for (std::uint32_t k : reference_ks)
+            expect_reference_yen(topo, s, t, k);
+  }
+}
+
+TEST(RoutePlan, YenMatchesReferenceInBothStorageModes) {
+  std::vector<topology_config> configs;
+  {
+    topology_config c;
+    c.kind = topology_kind::tiered;
+    c.tiers = 5;
+    configs.push_back(c);
+  }
+  {
+    topology_config c;
+    c.kind = topology_kind::ring;
+    c.ring_k = 2;
+    configs.push_back(c);
+  }
+  for (std::uint64_t seed : {3u, 8u}) {
+    topology_config c;
+    c.kind = topology_kind::random_regular;
+    c.degree = 4;
+    c.graph_seed = seed;
+    configs.push_back(c);
+  }
+  const std::uint32_t n = 40;
+  for (const auto& cfg : configs)
+    for (const topology& topo :
+         {topology::make(n, cfg), topology::make_csr(n, cfg)}) {
+      stats::rng gen(cfg.graph_seed + 1);
+      for (int pair = 0; pair < 6; ++pair) {
+        const auto s = static_cast<node_id>(gen.next_below(n));
+        auto t = static_cast<node_id>(gen.next_below(n - 1));
+        if (t >= s) ++t;
+        for (std::uint32_t k : reference_ks)
+          expect_reference_yen(topo, s, t, k);
+      }
+    }
 }
 
 TEST(RoutePlan, YenIsDeterministic) {

@@ -1735,6 +1735,11 @@ int cmd_plan(const options& opt) {
   // sequence, so they land in the snapshot as stable metrics.
   net::plan_counters counters;
   obs::metrics_registry reg;
+  obs::tracer tracer;
+  obs::tracer* const tp = opt.metrics_path.empty() ? nullptr : &tracer;
+  // Every phase nests under this one root, closed before the snapshot is
+  // written; the child names match perfbench's per-layer metrics.
+  std::optional<obs::span> root(std::in_place, tp, "plan.run");
   obs::progress_meter progress("plan routes", opt.plan_routes, opt.progress);
   const auto elapsed = [](std::chrono::steady_clock::time_point a,
                           std::chrono::steady_clock::time_point b) {
@@ -1743,9 +1748,11 @@ int cmd_plan(const options& opt) {
   };
 
   const auto t0 = std::chrono::steady_clock::now();
-  const net::topology topo = opt.plan_csr
-                                 ? net::topology::make_csr(opt.n, topo_cfg)
-                                 : net::topology::make(opt.n, topo_cfg);
+  const net::topology topo = [&] {
+    obs::span span(tp, "net.build");
+    return opt.plan_csr ? net::topology::make_csr(opt.n, topo_cfg)
+                        : net::topology::make(opt.n, topo_cfg);
+  }();
   const auto t1 = std::chrono::steady_clock::now();
   std::printf("built %s: N=%u, %llu edges, %s storage, %.3f s\n",
               topo_cfg.label().c_str(), opt.n,
@@ -1754,7 +1761,10 @@ int cmd_plan(const options& opt) {
 
   if (opt.plan_components) {
     const auto tc0 = std::chrono::steady_clock::now();
-    const std::vector<std::uint32_t> comp = net::connected_components(topo);
+    const std::vector<std::uint32_t> comp = [&] {
+      obs::span span(tp, "net.components");
+      return net::connected_components(topo);
+    }();
     const auto tc1 = std::chrono::steady_clock::now();
     // Labels are 0-based in first-discovery order, so the count is one past
     // the largest label.
@@ -1764,8 +1774,10 @@ int cmd_plan(const options& opt) {
   }
 
   const auto t2 = std::chrono::steady_clock::now();
-  const net::shortest_path_tree tree =
-      net::dijkstra(topo, opt.plan_source, &counters);
+  const net::shortest_path_tree tree = [&] {
+    obs::span span(tp, "net.dijkstra");
+    return net::dijkstra(topo, opt.plan_source, &counters);
+  }();
   const auto t3 = std::chrono::steady_clock::now();
   std::uint64_t reachable = 0;
   double eccentricity = 0.0;
@@ -1801,12 +1813,20 @@ int cmd_plan(const options& opt) {
 
   if (!opt.routing_list.empty() && opt.routing_list.front().planned()) {
     net::route_planner planner(topo, opt.routing_list.front());
+    obs::progress_meter kpaths_progress(
+        "plan " + planner.config().label() + " routes", opt.plan_routes,
+        opt.progress);
     const auto t6 = std::chrono::steady_clock::now();
     std::uint64_t planned_hops = 0;
-    for (std::uint32_t i = 0; i < opt.plan_routes; ++i) {
-      const auto sender = static_cast<node_id>(gen.next_below(opt.n));
-      const route r = sample_planned_route(planner, sender, gen);
-      planned_hops += r.hops.size();
+    {
+      obs::span span(tp, "net.yen");
+      kpaths_progress.advance(0);
+      for (std::uint32_t i = 0; i < opt.plan_routes; ++i) {
+        const auto sender = static_cast<node_id>(gen.next_below(opt.n));
+        const route r = sample_planned_route(planner, sender, gen);
+        planned_hops += r.hops.size();
+        kpaths_progress.advance(i + 1);
+      }
     }
     const auto t7 = std::chrono::steady_clock::now();
     std::printf("%u %s routes: mean hops %.2f, %.3f s\n", opt.plan_routes,
@@ -1820,12 +1840,13 @@ int cmd_plan(const options& opt) {
     counters.edges_scanned += yen.edges_scanned;
     counters.yen_spur_searches += yen.yen_spur_searches;
   }
-  if (!opt.metrics_path.empty()) {
+  root.reset();
+  if (tp != nullptr) {
     reg.add_counter("plan.dijkstra_runs", counters.dijkstra_runs);
     reg.add_counter("plan.nodes_settled", counters.nodes_settled);
     reg.add_counter("plan.edges_scanned", counters.edges_scanned);
     reg.add_counter("plan.yen_spur_searches", counters.yen_spur_searches);
-    obs::write_metrics_file(opt.metrics_path, reg.snapshot(), {});
+    obs::write_metrics_file(opt.metrics_path, reg.snapshot(), tracer.spans());
   }
   return 0;
 }
