@@ -270,10 +270,15 @@ void BM_StreamingSdaIngestSketch(benchmark::State& state) {
 BENCHMARK(BM_StreamingSdaIngestSketch)->Arg(16)->Arg(128);
 
 void BM_EventQueueScheduleRun(benchmark::State& state) {
+  struct no_op final : sim::event_handler {
+    void on_event(sim::event_kind, std::uint32_t) override {}
+  };
+  no_op handler;
   for (auto _ : state) {
     sim::event_queue q;
-    for (int i = 0; i < 1000; ++i)
-      q.schedule_at(static_cast<double>(i % 97), [] {});
+    q.bind(sim::event_kind::arrival, handler);
+    for (std::uint32_t i = 0; i < 1000; ++i)
+      q.schedule_at(static_cast<double>(i % 97), sim::event_kind::arrival, i);
     q.run_until_empty();
   }
   state.SetItemsProcessed(state.iterations() * 1000);

@@ -16,6 +16,30 @@ route sample_simple_route(std::uint32_t node_count, node_id sender,
   return r;
 }
 
+simple_route_sampler::simple_route_sampler(std::uint32_t node_count) {
+  ANONPATH_EXPECTS(node_count >= 1);
+  pool_.resize(node_count - 1);
+  for (node_id v = 0; v < pool_.size(); ++v) pool_[v] = v;
+}
+
+void simple_route_sampler::sample(node_id sender, path_length length,
+                                  stats::rng& gen, route& out) {
+  const auto size = static_cast<std::uint32_t>(pool_.size());  // N - 1
+  ANONPATH_EXPECTS(sender <= size);
+  ANONPATH_EXPECTS(length <= size);
+  out.sender = sender;
+  out.hops.resize(length);
+  swaps_.resize(length);
+  for (std::uint32_t i = 0; i < length; ++i) {
+    const auto j = i + static_cast<std::uint32_t>(gen.next_below(size - i));
+    std::swap(pool_[i], pool_[j]);
+    swaps_[i] = j;
+    const node_id v = pool_[i];
+    out.hops[i] = v < sender ? v : v + 1;
+  }
+  for (std::uint32_t i = length; i-- > 0;) std::swap(pool_[i], pool_[swaps_[i]]);
+}
+
 route sample_complicated_route(std::uint32_t node_count, node_id sender,
                                path_length length, stats::rng& gen) {
   ANONPATH_EXPECTS(node_count >= 2);

@@ -23,6 +23,29 @@ enum class path_model {
 [[nodiscard]] route sample_simple_route(std::uint32_t node_count, node_id sender,
                                         path_length length, stats::rng& gen);
 
+/// In-place simple-route sampling for a fixed node count, as the simulator
+/// draws one route per message: exactly the draws and the route of
+/// sample_simple_route (the same partial Fisher-Yates over V \ {sender},
+/// the same next_below calls), in O(length) per route with no allocation
+/// once the buffers have grown. The pool holds the identity permutation of
+/// [0, N-1) between calls — each draw's swaps are undone — and pool index
+/// i stands for node i below the sender and node i + 1 from it on, which is
+/// the ascending list of V \ {sender} sample_simple_route shuffles.
+class simple_route_sampler {
+ public:
+  /// Precondition: node_count >= 1.
+  explicit simple_route_sampler(std::uint32_t node_count);
+
+  /// Fills `out`, reusing its hop buffer. Preconditions: sender <
+  /// node_count, length <= node_count - 1.
+  void sample(node_id sender, path_length length, stats::rng& gen,
+              route& out);
+
+ private:
+  std::vector<node_id> pool_;          ///< identity between calls
+  std::vector<std::uint32_t> swaps_;   ///< swap partner of each position
+};
+
 /// Draws a complicated (cycle-allowing) route: x_1 != sender, and each
 /// subsequent hop uniform over V \ {previous}. Precondition: node_count >= 2.
 [[nodiscard]] route sample_complicated_route(std::uint32_t node_count,

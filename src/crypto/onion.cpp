@@ -1,6 +1,7 @@
 #include "src/crypto/onion.hpp"
 
-#include <cstring>
+#include <algorithm>
+#include <span>
 #include <stdexcept>
 
 #include "src/crypto/prng_cipher.hpp"
@@ -14,9 +15,9 @@ namespace {
 /// Sentinel "next hop" inside the receiver's own layer: end of route.
 constexpr node_id terminal_marker = 0xFFFFFFFEu;
 
-void put_u32(std::vector<std::byte>& out, std::uint32_t v) {
+void put_u32(std::byte* out, std::uint32_t v) {
   for (int i = 0; i < 4; ++i)
-    out.push_back(static_cast<std::byte>((v >> (8 * i)) & 0xFF));
+    out[i] = static_cast<std::byte>((v >> (8 * i)) & 0xFF);
 }
 
 std::uint32_t get_u32(const std::vector<std::byte>& in) {
@@ -39,51 +40,66 @@ std::uint64_t key_registry::key_of(node_id node) const {
 
 onion_envelope wrap_onion(const route& r, std::vector<std::byte> payload,
                           const key_registry& keys, std::uint64_t nonce) {
+  // Built back to front in one buffer of the final size: each layer is a
+  // 4-byte header written just before the layer it wraps, and the cipher
+  // then runs over the suffix from that header on — the same bytes as
+  // prepending to a fresh vector per layer, without the copies.
+  std::vector<std::byte> out(4 * (r.hops.size() + 1) + payload.size());
+  std::size_t pos = 4 * r.hops.size();
+
   // Innermost layer: encrypted to the receiver, carrying the terminal marker.
-  std::vector<std::byte> current;
-  put_u32(current, terminal_marker);
-  current.insert(current.end(), payload.begin(), payload.end());
-  prng_cipher(keys.key_of(receiver_node)).apply(current, nonce);
+  put_u32(out.data() + pos, terminal_marker);
+  std::copy(payload.begin(), payload.end(), out.begin() + pos + 4);
+  prng_cipher(keys.key_of(receiver_node))
+      .apply(std::span(out).subspan(pos), nonce);
 
   // Wrap outward: the layer handed to hop i tells it hop i+1 (or R).
   for (std::size_t i = r.hops.size(); i-- > 0;) {
     const node_id self = r.hops[i];
     const node_id next = (i + 1 < r.hops.size()) ? r.hops[i + 1] : receiver_node;
-    std::vector<std::byte> layer;
-    layer.reserve(current.size() + 4);
-    put_u32(layer, next);
-    layer.insert(layer.end(), current.begin(), current.end());
-    prng_cipher(keys.key_of(self)).apply(layer, nonce);
-    current = std::move(layer);
+    pos -= 4;
+    put_u32(out.data() + pos, next);
+    prng_cipher(keys.key_of(self)).apply(std::span(out).subspan(pos), nonce);
   }
-  return onion_envelope{std::move(current)};
+  return onion_envelope{std::move(out)};
+}
+
+node_id peel_onion(node_id self, std::vector<std::byte>& data,
+                   const key_registry& keys, std::uint64_t nonce) {
+  if (data.size() < 4)
+    throw std::invalid_argument("onion: envelope too short");
+  prng_cipher(keys.key_of(self)).apply(data, nonce);
+  const std::uint32_t next = get_u32(data);
+  if (next == terminal_marker)
+    throw std::invalid_argument("onion: receiver layer peeled at a relay");
+  data.erase(data.begin(), data.begin() + 4);
+  return next;
 }
 
 peel_result peel_onion(node_id self, const onion_envelope& env,
                        const key_registry& keys, std::uint64_t nonce) {
-  if (env.data.size() < 4)
-    throw std::invalid_argument("onion: envelope too short");
-  std::vector<std::byte> clear = env.data;
-  prng_cipher(keys.key_of(self)).apply(clear, nonce);
-  const std::uint32_t next = get_u32(clear);
-  if (next == terminal_marker)
-    throw std::invalid_argument("onion: receiver layer peeled at a relay");
   peel_result out;
-  out.next = next;
-  out.inner.data.assign(clear.begin() + 4, clear.end());
+  out.inner = env;
+  out.next = peel_onion(self, out.inner.data, keys, nonce);
   return out;
+}
+
+void open_at_receiver(std::vector<std::byte>& data, const key_registry& keys,
+                      std::uint64_t nonce) {
+  if (data.size() < 4)
+    throw std::invalid_argument("onion: envelope too short");
+  prng_cipher(keys.key_of(receiver_node)).apply(data, nonce);
+  if (get_u32(data) != terminal_marker)
+    throw std::invalid_argument("onion: not a receiver-terminal envelope");
+  data.erase(data.begin(), data.begin() + 4);
 }
 
 std::vector<std::byte> open_at_receiver(const onion_envelope& env,
                                         const key_registry& keys,
                                         std::uint64_t nonce) {
-  if (env.data.size() < 4)
-    throw std::invalid_argument("onion: envelope too short");
   std::vector<std::byte> clear = env.data;
-  prng_cipher(keys.key_of(receiver_node)).apply(clear, nonce);
-  if (get_u32(clear) != terminal_marker)
-    throw std::invalid_argument("onion: not a receiver-terminal envelope");
-  return {clear.begin() + 4, clear.end()};
+  open_at_receiver(clear, keys, nonce);
+  return clear;
 }
 
 }  // namespace anonpath::crypto

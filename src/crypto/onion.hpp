@@ -50,14 +50,30 @@ struct peel_result {
 
 /// Removes the layer addressed to `self`, revealing the next hop and the
 /// inner envelope. Throws std::invalid_argument on malformed envelopes.
+/// A copying wrapper over the in-place overload below.
 [[nodiscard]] peel_result peel_onion(node_id self, const onion_envelope& env,
                                      const key_registry& keys,
                                      std::uint64_t nonce);
 
+/// In-place peel: decrypts `data` (an envelope's bytes) under `self`'s key,
+/// strips the 4-byte routing header so `data` becomes the inner envelope,
+/// and returns the next hop. Reuses the buffer — no allocation. Throws
+/// std::invalid_argument like the copying form; `data` is then left
+/// decrypted but otherwise unspecified.
+[[nodiscard]] node_id peel_onion(node_id self, std::vector<std::byte>& data,
+                                 const key_registry& keys,
+                                 std::uint64_t nonce);
+
 /// Unwraps the final (receiver) layer and returns the plaintext payload.
 /// Throws std::invalid_argument if the envelope is not receiver-terminal.
+/// A copying wrapper over the in-place overload below.
 [[nodiscard]] std::vector<std::byte> open_at_receiver(const onion_envelope& env,
                                                       const key_registry& keys,
                                                       std::uint64_t nonce);
+
+/// In-place open: `data` (a receiver-terminal envelope's bytes) becomes the
+/// plaintext payload. Throws like the copying form.
+void open_at_receiver(std::vector<std::byte>& data, const key_registry& keys,
+                      std::uint64_t nonce);
 
 }  // namespace anonpath::crypto

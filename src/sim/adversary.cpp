@@ -48,33 +48,38 @@ std::vector<node_id> adversary_model::compromised_ids() const {
 full_coalition_model::full_coalition_model(std::vector<bool> compromised)
     : adversary_model(std::move(compromised)) {}
 
+full_coalition_model::per_message& full_coalition_model::entry(
+    std::uint64_t msg) {
+  if (msg >= log_.size()) log_.resize(msg + 1);
+  return log_[msg];
+}
+
 void full_coalition_model::note_origin(std::uint64_t msg, node_id sender) {
   ANONPATH_EXPECTS(sender < compromised_.size() && compromised_[sender]);
-  log_[msg].origin = sender;
+  entry(msg).origin = sender;
 }
 
 void full_coalition_model::note_relay(std::uint64_t msg, sim_time at,
                                       node_id reporter, node_id predecessor,
                                       node_id successor) {
   ANONPATH_EXPECTS(reporter < compromised_.size() && compromised_[reporter]);
-  log_[msg].captures.push_back(capture{at, {reporter, predecessor, successor}});
+  entry(msg).captures.push_back(capture{at, {reporter, predecessor, successor}});
 }
 
 void full_coalition_model::note_receipt(std::uint64_t msg, sim_time /*at*/,
                                         node_id predecessor) {
-  log_[msg].receiver_predecessor = predecessor;
+  entry(msg).receiver_predecessor = predecessor;
 }
 
 bool full_coalition_model::complete(std::uint64_t msg) const {
-  const auto it = log_.find(msg);
-  return it != log_.end() && it->second.receiver_predecessor.has_value();
+  const per_message* pm = find(msg);
+  return pm != nullptr && pm->receiver_predecessor.has_value();
 }
 
 observation full_coalition_model::assemble(std::uint64_t msg) const {
-  const auto it = log_.find(msg);
-  if (it == log_.end() || !it->second.receiver_predecessor)
+  if (!full_coalition_model::complete(msg))
     throw std::out_of_range("adversary: message not (fully) observed");
-  const auto& pm = it->second;
+  const per_message& pm = log_[msg];
 
   observation obs;
   obs.origin = pm.origin;
@@ -89,9 +94,8 @@ observation full_coalition_model::assemble(std::uint64_t msg) const {
 
 std::vector<std::uint64_t> full_coalition_model::observed_messages() const {
   std::vector<std::uint64_t> out;
-  out.reserve(log_.size());
-  for (const auto& [id, pm] : log_)
-    if (pm.receiver_predecessor) out.push_back(id);
+  for (std::uint64_t id = 0; id < log_.size(); ++id)
+    if (log_[id].receiver_predecessor) out.push_back(id);
   return out;
 }
 
@@ -112,18 +116,15 @@ void partial_coverage_model::note_receipt(std::uint64_t msg, sim_time at,
 
 bool partial_coverage_model::complete(std::uint64_t msg) const {
   if (receiver_compromised_) return full_coalition_model::complete(msg);
-  const auto it = log_.find(msg);
-  return it != log_.end() &&
-         (it->second.origin.has_value() || !it->second.captures.empty());
+  const per_message* pm = find(msg);
+  return pm != nullptr && (pm->origin.has_value() || !pm->captures.empty());
 }
 
 observation partial_coverage_model::assemble(std::uint64_t msg) const {
   if (receiver_compromised_) return full_coalition_model::assemble(msg);
-  const auto it = log_.find(msg);
-  if (it == log_.end() ||
-      (!it->second.origin && it->second.captures.empty()))
+  if (!partial_coverage_model::complete(msg))
     throw std::out_of_range("adversary: message not observed");
-  const auto& pm = it->second;
+  const per_message& pm = log_[msg];
 
   observation obs;
   obs.origin = pm.origin;
@@ -139,9 +140,8 @@ observation partial_coverage_model::assemble(std::uint64_t msg) const {
 std::vector<std::uint64_t> partial_coverage_model::observed_messages() const {
   if (receiver_compromised_) return full_coalition_model::observed_messages();
   std::vector<std::uint64_t> out;
-  out.reserve(log_.size());
-  for (const auto& [id, pm] : log_)
-    if (pm.origin || !pm.captures.empty()) out.push_back(id);
+  for (std::uint64_t id = 0; id < log_.size(); ++id)
+    if (log_[id].origin || !log_[id].captures.empty()) out.push_back(id);
   return out;
 }
 

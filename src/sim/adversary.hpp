@@ -134,7 +134,10 @@ class adversary_model {
 /// The paper's Sec. 4 worst-case adversary: the monitor fuses reports per
 /// message id (the correlation assumption) and reconstructs the exact
 /// `observation` objects the inference engines consume, sorting reports by
-/// capture time — the simulator never leaks ground-truth order.
+/// capture time — the simulator never leaks ground-truth order. The
+/// per-message log is indexed by message id: dense ids (the simulator's
+/// originals 1..M, retries after) keep it compact; memory is linear in the
+/// largest id reported.
 class full_coalition_model : public adversary_model {
  public:
   explicit full_coalition_model(std::vector<bool> compromised);
@@ -161,7 +164,13 @@ class full_coalition_model : public adversary_model {
     std::vector<capture> captures;
     std::optional<node_id> receiver_predecessor;
   };
-  std::map<std::uint64_t, per_message> log_;
+  /// The record of `msg`, created (with every id below it) on first use.
+  per_message& entry(std::uint64_t msg);
+  /// The record of `msg`, or null for an id never reported.
+  [[nodiscard]] const per_message* find(std::uint64_t msg) const noexcept {
+    return msg < log_.size() ? &log_[msg] : nullptr;
+  }
+  std::vector<per_message> log_;  ///< indexed by message id
 };
 
 /// Historical name: the pre-refactor monitor *was* the full coalition.

@@ -21,31 +21,33 @@ mix_relay::mix_relay(node_id self, network& net,
   ANONPATH_EXPECTS(flush_interval >= 0.0);
 }
 
-void mix_relay::on_message(node_id from, wire_message msg) {
-  const auto peeled = crypto::peel_onion(self_, msg.envelope, keys_, msg.id);
+void mix_relay::on_message(node_id from, message_slot slot) {
+  wire_message& msg = net_.message(slot);
+  const node_id next =
+      crypto::peel_onion(self_, msg.envelope.data, keys_, msg.id);
   if (compromised_ && monitor_ != nullptr) {
     // The agent reports at traversal time, as in the paper's tuple (2); the
     // mix delay only shifts when the *next* hop sees the message.
-    monitor_->note_relay(msg.id, net_.queue().now(), self_, from, peeled.next);
+    monitor_->note_relay(msg.id, net_.queue().now(), self_, from, next);
   }
-  wire_message out;
-  out.id = msg.id;
-  out.kind = transport_kind::onion;
-  out.envelope = peeled.inner;
-  pool_.push_back(pending{peeled.next, std::move(out)});
+  pool_.push_back(pending{next, slot});
 
   if (pool_.size() >= batch_size_) {
     flush();
     return;
   }
   if (pool_.size() == 1 && flush_interval_ > 0.0) {
-    // Arm the deadline for this batch; epoch guards against firing after an
-    // earlier size-triggered flush already emptied the pool.
-    const std::uint64_t epoch = timer_epoch_;
-    net_.queue().schedule_in(flush_interval_, [this, epoch] {
-      if (epoch == timer_epoch_ && !pool_.empty()) flush();
-    });
+    // Arm the deadline for this batch; the epoch guards against firing
+    // after an earlier size-triggered flush already emptied the pool.
+    armed_epochs_.push_back(timer_epoch_);
+    net_.arm_timer(flush_interval_, self_);
   }
+}
+
+void mix_relay::on_timer() {
+  const std::uint64_t epoch = armed_epochs_.front();
+  armed_epochs_.pop_front();
+  if (epoch == timer_epoch_ && !pool_.empty()) flush();
 }
 
 void mix_relay::flush() {
@@ -57,9 +59,7 @@ void mix_relay::flush() {
     const auto j = static_cast<std::size_t>(gen_.next_below(i));
     std::swap(pool_[i - 1], pool_[j]);
   }
-  for (auto& p : pool_) {
-    net_.send(self_, p.next, std::move(p.msg));
-  }
+  for (const pending& p : pool_) net_.transmit(self_, p.next, p.slot);
   pool_.clear();
 }
 

@@ -1,5 +1,6 @@
 #pragma once
 
+#include <deque>
 #include <vector>
 
 #include "src/crypto/onion.hpp"
@@ -27,7 +28,8 @@ class mix_relay final : public message_sink {
             std::uint32_t batch_size, sim_time flush_interval,
             bool compromised, adversary_monitor* monitor, stats::rng gen);
 
-  void on_message(node_id from, wire_message msg) override;
+  void on_message(node_id from, message_slot slot) override;
+  void on_timer() override;
 
   [[nodiscard]] node_id id() const noexcept { return self_; }
   [[nodiscard]] std::size_t held() const noexcept { return pool_.size(); }
@@ -38,7 +40,7 @@ class mix_relay final : public message_sink {
  private:
   struct pending {
     node_id next;
-    wire_message msg;
+    message_slot slot;
   };
 
   void flush();
@@ -53,6 +55,10 @@ class mix_relay final : public message_sink {
   stats::rng gen_;
   std::vector<pending> pool_;
   std::uint64_t timer_epoch_ = 0;  ///< invalidates stale flush timers
+  /// Epoch each outstanding flush timer was armed in. Timers share one
+  /// interval and are armed at non-decreasing times, so they fire in
+  /// arming order: the front belongs to the next timer to fire.
+  std::deque<std::uint64_t> armed_epochs_;
   std::uint64_t batches_ = 0;
 };
 

@@ -19,6 +19,9 @@ network::network(std::uint32_t node_count, latency_params params,
   ANONPATH_EXPECTS(faults.valid_for(node_count));
   ANONPATH_EXPECTS(topology == nullptr ||
                    topology->node_count() == node_count);
+  queue_.bind(event_kind::deliver, *this);
+  queue_.bind(event_kind::forward, *this);
+  queue_.bind(event_kind::mix_flush, *this);
 }
 
 void network::register_node(node_id id, message_sink& sink) {
@@ -32,20 +35,40 @@ void network::register_receiver(message_sink& sink) {
   receiver_sink_ = &sink;
 }
 
+message_trace& network::trace_of(std::uint64_t msg_id) {
+  if (msg_id >= traces_.size()) traces_.resize(msg_id + 1);
+  return traces_[msg_id];
+}
+
+message_slot network::acquire() {
+  if (free_.empty()) {
+    slab_.emplace_back();
+    return static_cast<message_slot>(slab_.size() - 1);
+  }
+  const message_slot slot = free_.back();
+  free_.pop_back();
+  return slot;
+}
+
 void network::originate(node_id origin, sim_time at, std::uint64_t msg_id) {
   ANONPATH_EXPECTS(origin < node_count_);
-  auto& trace = traces_[msg_id];
+  auto& trace = trace_of(msg_id);
   trace.origin = origin;
   trace.sent_at = at;
 }
 
 void network::send(node_id from, node_id to, wire_message msg) {
+  const message_slot slot = acquire();
+  slab_[slot].msg = std::move(msg);
+  transmit(from, to, slot);
+}
+
+void network::transmit(node_id from, node_id to, message_slot slot) {
   ANONPATH_EXPECTS(from < node_count_);
   ANONPATH_EXPECTS(sinks_[from] != nullptr);  // sender must be registered too
   ANONPATH_EXPECTS(to < node_count_ || to == receiver_node);
-  message_sink* sink =
-      to == receiver_node ? receiver_sink_ : sinks_[to];
-  ANONPATH_EXPECTS(sink != nullptr);
+  ANONPATH_EXPECTS((to == receiver_node ? receiver_sink_ : sinks_[to]) !=
+                   nullptr);
   // A restricted fabric only carries edges of its graph; the receiver is an
   // external party reachable from everywhere.
   if (topology_ != nullptr && to != receiver_node)
@@ -60,32 +83,68 @@ void network::send(node_id from, node_id to, wire_message msg) {
   if (to != receiver_node && outages_.enabled() &&
       outages_.is_down(to, queue_.now())) {
     ++crashed_;  // journey ends; the trace stays undelivered
+    release(slot);
     return;
   }
   if (to != receiver_node && churn_.enabled() &&
       !churn_.is_up(to, queue_.now())) {
     ++stranded_;  // journey ends; the trace stays undelivered
+    release(slot);
     return;
   }
 
   if (drop_probability_ > 0.0 && drop_rng_.next_bernoulli(drop_probability_)) {
     ++dropped_;  // journey ends silently; the trace stays undelivered
+    release(slot);
     return;
   }
 
-  const sim_time delay = latency_.link_delay();
-  const std::uint64_t id = msg.id;
-  queue_.schedule_in(delay, [this, sink, from, to, id,
-                             m = std::move(msg)]() mutable {
-    auto& trace = traces_[id];
-    if (to == receiver_node) {
-      trace.delivered = true;
-      trace.delivered_at = queue_.now();
-    } else {
-      trace.visited.push_back(to);
+  in_flight& hop = slab_[slot];
+  hop.from = from;
+  hop.to = to;
+  queue_.schedule_in(latency_.link_delay(), event_kind::deliver, slot);
+}
+
+void network::forward_in(sim_time delay, node_id from, node_id to,
+                         message_slot slot) {
+  in_flight& hop = slab_[slot];
+  hop.from = from;
+  hop.to = to;
+  queue_.schedule_in(delay, event_kind::forward, slot);
+}
+
+void network::arm_timer(sim_time delay, node_id node) {
+  ANONPATH_EXPECTS(node < node_count_ && sinks_[node] != nullptr);
+  queue_.schedule_in(delay, event_kind::mix_flush, node);
+}
+
+void network::on_event(event_kind kind, std::uint32_t slot) {
+  switch (kind) {
+    case event_kind::deliver: {
+      const node_id from = slab_[slot].from;
+      const node_id to = slab_[slot].to;
+      auto& trace = trace_of(slab_[slot].msg.id);
+      if (to == receiver_node) {
+        trace.delivered = true;
+        trace.delivered_at = queue_.now();
+        receiver_sink_->on_message(from, slot);
+      } else {
+        trace.visited.push_back(to);
+        sinks_[to]->on_message(from, slot);
+      }
+      return;
     }
-    sink->on_message(from, std::move(m));
-  });
+    case event_kind::forward:
+      transmit(slab_[slot].from, slab_[slot].to, slot);
+      return;
+    case event_kind::mix_flush:
+      sinks_[slot]->on_timer();
+      return;
+    case event_kind::arrival:
+    case event_kind::retry_timer:
+      break;
+  }
+  ANONPATH_EXPECTS(false);  // not a fabric event
 }
 
 }  // namespace anonpath::sim

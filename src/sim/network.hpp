@@ -1,7 +1,6 @@
 #pragma once
 
 #include <cstdint>
-#include <map>
 #include <vector>
 
 #include "src/anonymity/types.hpp"
@@ -15,17 +14,28 @@
 
 namespace anonpath::sim {
 
+/// Handle of a message held in the network's slab (see network).
+using message_slot = std::uint32_t;
+
 /// Interface of anything that can accept a message from the wire.
 class message_sink {
  public:
   virtual ~message_sink() = default;
   /// `from` is the transport-level immediate sender (what a real node's
   /// network stack would see). Exactly the paper's observability model.
-  virtual void on_message(node_id from, wire_message msg) = 0;
+  /// The sink now owns `slot` (network::message() reads it): it passes it
+  /// on with network::transmit()/forward_in() or hands it back with
+  /// network::release().
+  virtual void on_message(node_id from, message_slot slot) = 0;
+
+  /// A timer the sink armed with network::arm_timer() fired.
+  virtual void on_timer() {}
 };
 
 /// Ground-truth record of one message's journey, kept by the network fabric
 /// (the "physics" of the simulation — never visible to the adversary).
+/// A default record (never originated, nothing visited) stands for a
+/// message id the fabric has not seen.
 struct message_trace {
   node_id origin = 0;
   std::vector<node_id> visited;   ///< nodes traversed after the origin
@@ -48,7 +58,19 @@ struct message_trace {
 /// specific nodes down on a deterministic timetable; a transmission whose
 /// destination is down at send time strands there, and the receiver R
 /// never fails. Also the keeper of ground-truth traces for validation.
-class network {
+///
+/// Event model. The fabric owns the run's event_queue and serves three of
+/// its event kinds: `deliver` (a transmission reaches its destination),
+/// `forward` (a relay's processing delay ends and it transmits) and
+/// `mix_flush` (a sink's timer, see arm_timer). Messages in flight live in
+/// a slab of wire_message records recycled through a free list; events
+/// and sinks refer to them by message_slot, so a hop moves a 4-byte
+/// handle rather than the envelope, relays peel the envelope in place, and
+/// a run reuses the same few dozen records (and their byte buffers) for
+/// all of its traffic. Traces are indexed by message id — dense ids (the
+/// simulator's originals 1..M, retries after) keep them compact; memory is
+/// linear in the largest id seen.
+class network final : public event_handler {
  public:
   /// Preconditions: node_count >= 2, params.valid(),
   /// faults.valid_for(node_count); `topology`, when non-null, must outlive
@@ -60,6 +82,10 @@ class network {
           const fault_plan& faults = {},
           const net::topology* topology = nullptr,
           double fault_horizon = 0.0);
+
+  /// The queue and the sinks hold pointers back into the fabric.
+  network(const network&) = delete;
+  network& operator=(const network&) = delete;
 
   /// Registers the sink for a relay node (exactly once per id).
   void register_node(node_id id, message_sink& sink);
@@ -76,14 +102,38 @@ class network {
   /// registered node id or `receiver_node` with the receiver registered,
   /// and — when the fabric carries a topology — (from, to) is a graph
   /// edge. Unregistered endpoints are a programming error, never a silent
-  /// no-op or a crash on a null sink.
+  /// no-op or a crash on a null sink. Stores `msg` in a fresh slab slot and
+  /// transmits it.
   void send(node_id from, node_id to, wire_message msg);
+
+  /// Transmits the message held in `slot` from `from` to `to`, as send().
+  /// A transmission lost to a fault releases the slot.
+  void transmit(node_id from, node_id to, message_slot slot);
+
+  /// Schedules transmit(from, to, slot) `delay` seconds from now (a
+  /// relay's processing time). Precondition: delay >= 0.
+  void forward_in(sim_time delay, node_id from, node_id to, message_slot slot);
+
+  /// Calls sink `node`'s on_timer() `delay` seconds from now.
+  /// Preconditions: `node` is registered, delay >= 0.
+  void arm_timer(sim_time delay, node_id node);
+
+  /// The message held in `slot` (valid until the slot is released).
+  [[nodiscard]] wire_message& message(message_slot slot) {
+    return slab_[slot].msg;
+  }
+
+  /// Returns `slot` to the slab for reuse.
+  void release(message_slot slot) { free_.push_back(slot); }
+
+  void on_event(event_kind kind, std::uint32_t slot) override;
 
   [[nodiscard]] event_queue& queue() noexcept { return queue_; }
   [[nodiscard]] std::uint32_t node_count() const noexcept { return node_count_; }
 
-  /// Ground truth for tests/metrics.
-  [[nodiscard]] const std::map<std::uint64_t, message_trace>& traces() const noexcept {
+  /// Ground truth for tests/metrics, indexed by message id (index 0 and
+  /// ids never sent hold default records).
+  [[nodiscard]] const std::vector<message_trace>& traces() const noexcept {
     return traces_;
   }
 
@@ -110,6 +160,16 @@ class network {
   }
 
  private:
+  /// A slab record: the message and the hop it is currently crossing.
+  struct in_flight {
+    wire_message msg;
+    node_id from = 0;
+    node_id to = 0;
+  };
+
+  message_slot acquire();
+  message_trace& trace_of(std::uint64_t msg_id);
+
   std::uint32_t node_count_;
   event_queue queue_;
   latency_model latency_;
@@ -123,7 +183,9 @@ class network {
   std::uint64_t crashed_ = 0;
   std::vector<message_sink*> sinks_;
   message_sink* receiver_sink_ = nullptr;
-  std::map<std::uint64_t, message_trace> traces_;
+  std::vector<in_flight> slab_;
+  std::vector<message_slot> free_;
+  std::vector<message_trace> traces_;
 };
 
 }  // namespace anonpath::sim

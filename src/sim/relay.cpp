@@ -13,21 +13,15 @@ onion_relay::onion_relay(node_id self, network& net,
       compromised_(compromised),
       monitor_(monitor) {}
 
-void onion_relay::on_message(node_id from, wire_message msg) {
-  const auto peeled = crypto::peel_onion(self_, msg.envelope, keys_, msg.id);
+void onion_relay::on_message(node_id from, message_slot slot) {
+  wire_message& msg = net_.message(slot);
+  const node_id next =
+      crypto::peel_onion(self_, msg.envelope.data, keys_, msg.id);
   if (compromised_ && monitor_ != nullptr) {
-    monitor_->note_relay(msg.id, net_.queue().now(), self_, from, peeled.next);
+    monitor_->note_relay(msg.id, net_.queue().now(), self_, from, next);
   }
   ++forwarded_;
-  wire_message out;
-  out.id = msg.id;
-  out.kind = transport_kind::onion;
-  out.envelope = peeled.inner;
-  const node_id next = peeled.next;
-  net_.queue().schedule_in(processing_delay_,
-                           [this, next, m = std::move(out)]() mutable {
-                             net_.send(self_, next, std::move(m));
-                           });
+  net_.forward_in(processing_delay_, self_, next, slot);
 }
 
 crowds_relay::crowds_relay(node_id self, network& net, double processing_delay,
@@ -41,7 +35,8 @@ crowds_relay::crowds_relay(node_id self, network& net, double processing_delay,
       gen_(gen),
       topology_(topology) {}
 
-void crowds_relay::on_message(node_id from, wire_message msg) {
+void crowds_relay::on_message(node_id from, message_slot slot) {
+  const wire_message& msg = net_.message(slot);
   // Flip the coin: forward to another node with probability forward_prob,
   // otherwise submit to the receiver.
   node_id next = receiver_node;
@@ -57,11 +52,7 @@ void crowds_relay::on_message(node_id from, wire_message msg) {
   if (compromised_ && monitor_ != nullptr) {
     monitor_->note_relay(msg.id, net_.queue().now(), self_, from, next);
   }
-  const node_id target = next;
-  net_.queue().schedule_in(processing_delay_,
-                           [this, target, m = std::move(msg)]() mutable {
-                             net_.send(self_, target, std::move(m));
-                           });
+  net_.forward_in(processing_delay_, self_, next, slot);
 }
 
 }  // namespace anonpath::sim

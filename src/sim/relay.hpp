@@ -8,8 +8,8 @@
 namespace anonpath::sim {
 
 /// A source-routed relay (Onion Routing / Freedom / PipeNet style): peels
-/// its onion layer, learns only predecessor and successor, forwards after a
-/// processing delay. If compromised, its adversary agent files the paper's
+/// its onion layer (in place, in the network's slab), learns only
+/// predecessor and successor, forwards after a processing delay. If compromised, its adversary agent files the paper's
 /// (t, pred, succ) tuple.
 class onion_relay final : public message_sink {
  public:
@@ -17,7 +17,7 @@ class onion_relay final : public message_sink {
               double processing_delay, bool compromised,
               adversary_model* monitor);
 
-  void on_message(node_id from, wire_message msg) override;
+  void on_message(node_id from, message_slot slot) override;
 
   [[nodiscard]] node_id id() const noexcept { return self_; }
   [[nodiscard]] std::uint64_t forwarded_count() const noexcept {
@@ -48,7 +48,7 @@ class crowds_relay final : public message_sink {
                bool compromised, adversary_model* monitor, stats::rng gen,
                const net::topology* topology = nullptr);
 
-  void on_message(node_id from, wire_message msg) override;
+  void on_message(node_id from, message_slot slot) override;
 
   [[nodiscard]] node_id id() const noexcept { return self_; }
 

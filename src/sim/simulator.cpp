@@ -110,6 +110,191 @@ std::vector<double> fuse_attempt_posteriors(
   return out;
 }
 
+/// The workload half of run_core's event loop. Serves `arrival` events off
+/// the sorted Poisson schedule — each inserted when its predecessor fires,
+/// under the sequence numbers reserved for the whole schedule up front, so
+/// the heap holds only in-flight events yet ties break exactly as if every
+/// arrival had been queued at the start — and `retry_timer` events, one
+/// outstanding per original message, whose state is indexed by the
+/// original's id.
+class traffic_source final : public event_handler {
+ public:
+  /// Splits the traffic, routing and retry-routing streams off `master`
+  /// (in that order) and draws the arrival schedule.
+  traffic_source(const sim_config& config, network& net,
+                 const crypto::key_registry& keys, adversary_model& monitor,
+                 const std::vector<bool>& compromised,
+                 const net::topology* graph, net::route_planner* planner,
+                 stats::rng& master)
+      : config_(config),
+        net_(net),
+        keys_(keys),
+        monitor_(monitor),
+        compromised_(compromised),
+        graph_(graph),
+        planner_(planner),
+        traffic_(master.split()),
+        routing_(master.split()),
+        // Retransmissions sample their fresh routes from a dedicated stream
+        // split off *after* every historical stream, so enabling retries
+        // never perturbs the routes originals take (the frontier sweep
+        // compares like with like) and a disabled policy leaves every
+        // historical stream byte-identical.
+        retry_routing_(master.split()),
+        // Planned-route draws (exit choice + k-path pick) come from
+        // order-free streams keyed off the seed rather than further
+        // master.split() calls, so walk-mode runs never see these streams
+        // exist and stay byte-identical; retransmissions again get their own
+        // stream so enabling retries leaves original planned routes
+        // untouched.
+        plan_rng_(stats::rng::stream(config.seed, kpaths_stream_tag)),
+        retry_plan_rng_(stats::rng::stream(config.seed, kpaths_stream_tag + 1)),
+        arrivals_(poisson_workload(config.sys.node_count, config.arrival_rate,
+                                   config.message_count, traffic_)),
+        simple_routes_(config.sys.node_count),
+        next_attempt_id_(std::uint64_t{config.message_count} + 1) {
+    if (config.retry.enabled()) retries_.resize(arrivals_.size() + 1);
+  }
+
+  /// Binds the workload's event kinds and queues the first arrival. Must
+  /// run before any other event is scheduled: the arrivals take sequence
+  /// numbers 0..M-1.
+  void start() {
+    event_queue& q = net_.queue();
+    q.bind(event_kind::arrival, *this);
+    q.bind(event_kind::retry_timer, *this);
+    first_seq_ = q.reserve(arrivals_.size());
+    q.schedule_reserved(arrivals_.front().at, first_seq_, event_kind::arrival,
+                        0);
+  }
+
+  void on_event(event_kind kind, std::uint32_t slot) override {
+    if (kind == event_kind::arrival) on_arrival(slot);
+    else on_retry_timer(slot);
+  }
+
+  /// Original message id of retransmission `id` (> message_count).
+  [[nodiscard]] const std::vector<std::uint64_t>& attempt_parents() const {
+    return attempt_parent_;
+  }
+
+ private:
+  static constexpr std::uint64_t kpaths_stream_tag = 0x6b706174u;  // "kpat"
+
+  /// Sender-side recovery state of one original: the pending timer's
+  /// delay, the retransmissions spent, and every id that hit the wire for
+  /// it (the original itself first).
+  struct retry_state {
+    node_id sender = 0;
+    std::uint32_t retries_done = 0;
+    double timeout = 0.0;
+    std::vector<std::uint64_t> attempts;
+  };
+
+  void on_arrival(std::uint32_t index) {
+    const arrival& a = arrivals_[index];
+    if (index + 1 < arrivals_.size())
+      net_.queue().schedule_reserved(arrivals_[index + 1].at,
+                                     first_seq_ + index + 1,
+                                     event_kind::arrival, index + 1);
+    net_.originate(a.sender, a.at, a.msg_id);
+    if (compromised_[a.sender]) monitor_.note_origin(a.msg_id, a.sender);
+    launch(a.sender, a.msg_id, routing_, plan_rng_);
+    if (config_.retry.enabled()) {
+      retry_state& st = retries_[a.msg_id];
+      st.sender = a.sender;
+      st.timeout = config_.retry.timeout;
+      st.attempts.push_back(a.msg_id);
+      net_.queue().schedule_in(st.timeout, event_kind::retry_timer,
+                               static_cast<std::uint32_t>(a.msg_id));
+    }
+  }
+
+  /// Timeout timer for one original: when it fires and no attempt has been
+  /// delivered, inject a retransmission over a fresh route and re-arm with
+  /// the backed-off timeout. The retransmission is a full first-class
+  /// message on the wire — the adversary observes it like any other, which
+  /// is exactly the anonymity cost this layer exists to measure.
+  void on_retry_timer(std::uint32_t original) {
+    retry_state& st = retries_[original];
+    for (const std::uint64_t id : st.attempts)
+      if (net_.traces()[id].delivered) return;  // recovered — stand down
+    if (st.retries_done >= config_.retry.max_retries) return;  // budget spent
+    const std::uint64_t id = next_attempt_id_++;
+    attempt_parent_.push_back(original);
+    st.attempts.push_back(id);
+    net_.originate(st.sender, net_.queue().now(), id);
+    if (compromised_[st.sender]) monitor_.note_origin(id, st.sender);
+    launch(st.sender, id, retry_routing_, retry_plan_rng_);
+    ++st.retries_done;
+    st.timeout = std::min(st.timeout * config_.retry.backoff,
+                          config_.retry.max_timeout);
+    net_.queue().schedule_in(st.timeout, event_kind::retry_timer, original);
+  }
+
+  /// One transmission attempt: sample a route for `id` and put it on the
+  /// wire. Shared by originals (drawing from the historical routing stream)
+  /// and retransmissions (drawing from retry_routing).
+  void launch(node_id sender, std::uint64_t id, stats::rng& gen,
+              stats::rng& plan_gen) {
+    const std::uint32_t n = config_.sys.node_count;
+    wire_message msg;
+    msg.id = id;
+    if (config_.mode == routing_mode::source_routed) {
+      if (planner_ != nullptr) {
+        sample_planned_route_into(*planner_, sender, plan_gen, route_);
+      } else {
+        const path_length l = config_.lengths.sample(gen);
+        if (graph_ != nullptr)
+          sample_topology_route_into(*graph_, sender, l, gen, route_);
+        else
+          simple_routes_.sample(sender, l, gen, route_);
+      }
+      msg.kind = transport_kind::onion;
+      msg.envelope = crypto::wrap_onion(route_, demo_payload(id), keys_, id);
+      const node_id first =
+          route_.hops.empty() ? receiver_node : route_.hops.front();
+      net_.send(sender, first, std::move(msg));
+    } else {
+      msg.kind = transport_kind::crowds;
+      msg.payload = demo_payload(id);
+      msg.forward_prob = config_.forward_prob;
+      if (graph_ != nullptr) {
+        // Hop-by-hop on a graph: first jondo is a weighted neighbor.
+        net_.send(sender, graph_->sample_neighbor(sender, gen), std::move(msg));
+      } else {
+        // Hop-by-hop: always at least one jondo, chosen uniformly.
+        auto draw = static_cast<node_id>(gen.next_below(n - 1));
+        if (draw >= sender) ++draw;
+        net_.send(sender, draw, std::move(msg));
+      }
+    }
+  }
+
+  const sim_config& config_;
+  network& net_;
+  const crypto::key_registry& keys_;
+  adversary_model& monitor_;
+  const std::vector<bool>& compromised_;
+  const net::topology* graph_;
+  net::route_planner* planner_;
+  stats::rng traffic_;
+  stats::rng routing_;
+  stats::rng retry_routing_;
+  stats::rng plan_rng_;
+  stats::rng retry_plan_rng_;
+  std::vector<arrival> arrivals_;
+  std::uint64_t first_seq_ = 0;
+  simple_route_sampler simple_routes_;
+  route route_;  ///< reused route buffer
+  /// Indexed by original id (1..message_count); empty without retries.
+  std::vector<retry_state> retries_;
+  /// Attempt ids continue past message_count, so original ids stay dense;
+  /// entry k is the original of attempt message_count + 1 + k.
+  std::vector<std::uint64_t> attempt_parent_;
+  std::uint64_t next_attempt_id_;
+};
+
 }  // namespace
 
 namespace detail {
@@ -193,109 +378,10 @@ core_result run_core(const sim_config& config,
   receiver_endpoint receiver(net, keys, &monitor);
   net.register_receiver(receiver);
 
-  // Schedule the workload.
-  stats::rng traffic = master.split();
-  stats::rng routing = master.split();
-  // Retransmissions sample their fresh routes from a dedicated stream split
-  // off *after* every historical stream, so enabling retries never perturbs
-  // the routes originals take (the frontier sweep compares like with like)
-  // and a disabled policy leaves every historical stream byte-identical.
-  stats::rng retry_routing = master.split();
-  // Planned-route draws (exit choice + k-path pick) come from order-free
-  // streams keyed off the seed rather than further master.split() calls, so
-  // walk-mode runs never see these streams exist and stay byte-identical;
-  // retransmissions again get their own stream so enabling retries leaves
-  // original planned routes untouched.
-  constexpr std::uint64_t kpaths_stream_tag = 0x6b706174u;  // "kpat"
-  stats::rng plan_rng = stats::rng::stream(config.seed, kpaths_stream_tag);
-  stats::rng retry_plan_rng =
-      stats::rng::stream(config.seed, kpaths_stream_tag + 1);
-
-  // Sender-side recovery state: every message id that ever hit the wire for
-  // an original (the original itself plus its retransmissions), and the
-  // attempt -> original map handed to scoring. Attempt ids continue past
-  // message_count so original ids stay dense.
-  std::map<std::uint64_t, std::vector<std::uint64_t>> attempts_of;
-  std::map<std::uint64_t, std::uint64_t> attempt_parent;
-  std::uint64_t next_attempt_id = config.message_count + 1;
-
-  // One transmission attempt: sample a route for `id` and put it on the
-  // wire. Shared by originals (drawing from the historical routing stream)
-  // and retransmissions (drawing from retry_routing).
-  const auto launch = [&](node_id sender, std::uint64_t id, stats::rng& gen,
-                          stats::rng& plan_gen) {
-    wire_message msg;
-    msg.id = id;
-    if (config.mode == routing_mode::source_routed) {
-      route r;
-      if (planner) {
-        r = sample_planned_route(*planner, sender, plan_gen);
-      } else {
-        const path_length l = config.lengths.sample(gen);
-        r = graph != nullptr ? sample_topology_route(*graph, sender, l, gen)
-                             : sample_simple_route(n, sender, l, gen);
-      }
-      msg.kind = transport_kind::onion;
-      msg.envelope = crypto::wrap_onion(r, demo_payload(id), keys, id);
-      const node_id first = r.hops.empty() ? receiver_node : r.hops.front();
-      net.send(sender, first, std::move(msg));
-    } else {
-      msg.kind = transport_kind::crowds;
-      msg.payload = demo_payload(id);
-      msg.forward_prob = config.forward_prob;
-      if (graph != nullptr) {
-        // Hop-by-hop on a graph: first jondo is a weighted neighbor.
-        net.send(sender, graph->sample_neighbor(sender, gen), std::move(msg));
-      } else {
-        // Hop-by-hop: always at least one jondo, chosen uniformly.
-        auto draw = static_cast<node_id>(gen.next_below(n - 1));
-        if (draw >= sender) ++draw;
-        net.send(sender, draw, std::move(msg));
-      }
-    }
-  };
-
-  // Timeout timer for one original: when it fires and no attempt has been
-  // delivered, inject a retransmission over a fresh route and re-arm with
-  // the backed-off timeout. The retransmission is a full first-class
-  // message on the wire — the adversary observes it like any other, which
-  // is exactly the anonymity cost this layer exists to measure.
-  std::function<void(node_id, std::uint64_t, std::uint32_t, double)> arm_timer =
-      [&](node_id sender, std::uint64_t original, std::uint32_t retries_done,
-          double timeout) {
-        net.queue().schedule_in(timeout, [&, sender, original, retries_done,
-                                          timeout]() {
-          for (const std::uint64_t id : attempts_of.at(original)) {
-            const auto it = net.traces().find(id);
-            if (it != net.traces().end() && it->second.delivered)
-              return;  // recovered — stand down
-          }
-          if (retries_done >= config.retry.max_retries) return;  // budget spent
-          const std::uint64_t id = next_attempt_id++;
-          attempt_parent.emplace(id, original);
-          attempts_of.at(original).push_back(id);
-          net.originate(sender, net.queue().now(), id);
-          if (compromised[sender]) monitor.note_origin(id, sender);
-          launch(sender, id, retry_routing, retry_plan_rng);
-          arm_timer(sender, original, retries_done + 1,
-                    std::min(timeout * config.retry.backoff,
-                             config.retry.max_timeout));
-        });
-      };
-
-  const auto arrivals =
-      poisson_workload(n, config.arrival_rate, config.message_count, traffic);
-  for (const arrival& a : arrivals) {
-    net.queue().schedule_at(a.at, [&, a]() {
-      net.originate(a.sender, a.at, a.msg_id);
-      if (compromised[a.sender]) monitor.note_origin(a.msg_id, a.sender);
-      launch(a.sender, a.msg_id, routing, plan_rng);
-      if (config.retry.enabled()) {
-        attempts_of.emplace(a.msg_id, std::vector<std::uint64_t>{a.msg_id});
-        arm_timer(a.sender, a.msg_id, 0, config.retry.timeout);
-      }
-    });
-  }
+  // The workload streams split off `master` after the relays' own.
+  traffic_source traffic(config, net, keys, monitor, compromised, graph,
+                         planner ? &*planner : nullptr, master);
+  traffic.start();
 
   const bool drained = net.queue().run_until_empty();
   ANONPATH_ENSURES(drained);
@@ -312,18 +398,21 @@ core_result run_core(const sim_config& config,
   // Fold attempts into per-original outcomes: delivered if any attempt was,
   // timed from the original submission to the *earliest* delivering attempt
   // (end-to-end latency includes the waits the retry policy imposed), hops
-  // from that attempt. Originals come first in the id-ordered walk, so the
-  // fold always finds its base outcome.
-  for (const auto& [id, trace] : net.traces()) {
-    const auto pit = attempt_parent.find(id);
-    if (pit == attempt_parent.end()) {
-      result.outcomes.emplace(
-          id,
+  // from that attempt. Traces are indexed by id — originals 1..M first,
+  // then the retransmissions — so the fold always finds its base outcome.
+  const std::vector<message_trace>& traces = net.traces();
+  const std::vector<std::uint64_t>& parents = traffic.attempt_parents();
+  const std::uint64_t originals = config.message_count;
+  for (std::uint64_t id = 1; id < traces.size(); ++id) {
+    const message_trace& trace = traces[id];
+    if (id <= originals) {
+      result.outcomes.emplace_hint(
+          result.outcomes.end(), id,
           message_outcome{trace.origin, trace.sent_at, trace.delivered_at,
                           trace.delivered,
                           static_cast<std::uint32_t>(trace.visited.size())});
     } else if (trace.delivered) {
-      message_outcome& out = result.outcomes.at(pit->second);
+      message_outcome& out = result.outcomes.at(parents[id - originals - 1]);
       if (!out.delivered || trace.delivered_at < out.delivered_at) {
         out.delivered = true;
         out.delivered_at = trace.delivered_at;
@@ -331,7 +420,9 @@ core_result run_core(const sim_config& config,
       }
     }
   }
-  result.attempt_parent = std::move(attempt_parent);
+  for (std::size_t k = 0; k < parents.size(); ++k)
+    result.attempt_parent.emplace_hint(result.attempt_parent.end(),
+                                       originals + 1 + k, parents[k]);
   return result;
 }
 

@@ -134,6 +134,40 @@ TEST_F(CliParse, ZeroWhereItIsMeaningless) {
   }
 }
 
+TEST_F(CliParse, SimulateAndCaptureRefuseWhatOneRunCannotHonour) {
+  // One run takes one config. Each of these used to run something other
+  // than what was asked: a --dist longer than N-1 hops tripped an engine
+  // precondition (exit 1), --rate/--replicas were silently dropped, and a
+  // comma-list axis ran only its first value. All are usage errors (exit 2)
+  // now, for both commands.
+  for (const char* command : {"simulate", "capture --out /dev/null"}) {
+    for (const char* flags : {
+             "--n 10 --dist F:10",
+             "--n 6 --c 1 --dist U:1,6",
+             "--n 20 --c 2 --rate 10",
+             "--n 20 --c 2 --replicas 4",
+             "--n 10,20 --c 2",
+             "--n 20 --c 1,2",
+             "--n 20 --c 2 --dist F:2 --dist F:3",
+             "--n 20 --c 2 --drop 0,0.1",
+             "--n 20 --c 2 --adversary full,timing",
+             "--n 20 --c 2 --topology complete,ring:2",
+             "--n 20 --c 2 --churn 0,0.5:0.5",
+         }) {
+      const std::string args =
+          std::string(command) + " " + flags + " --messages 20";
+      const run_result r = run_cli(args);
+      EXPECT_EQ(r.exit_code, 2) << "anonpath " << args;
+      EXPECT_NE(r.stderr_text.find("error: "), std::string::npos)
+          << "no usage diagnostic: anonpath " << args;
+    }
+  }
+  // Positive control: the longest simple path still runs.
+  EXPECT_EQ(run_cli("simulate --n 10 --c 1 --dist F:9 --messages 20")
+                .exit_code,
+            0);
+}
+
 TEST_F(CliParse, RoutingFlagValidation) {
   for (const char* args :
        {"simulate --n 20 --c 2 --routing bogus",
@@ -344,6 +378,52 @@ TEST_F(CliParse, AttackMetricsTraceHasASingleRoot) {
       if (span.parent != 0) EXPECT_EQ(span.parent, 1u) << span.name;
   }
   std::remove(metrics.c_str());
+}
+
+TEST_F(CliParse, CampaignMetricsTraceHasASingleRoot) {
+  // Grid expansion, the cell runs and the CSV rendering nest under one
+  // campaign.run root, and the instrumented CSV is byte-identical to an
+  // uninstrumented run's.
+  const std::string stem = ::testing::TempDir() + "anonpath_campaign." +
+                           std::to_string(::getpid());
+  const std::string metrics = stem + ".jsonl";
+  const std::string plain_csv = stem + ".plain.csv";
+  const std::string traced_csv = stem + ".traced.csv";
+  std::remove(metrics.c_str());
+  const std::string run = "'" + cli_binary() +
+                          "' campaign --n 16,24 --c 1,2 --dist F:3 "
+                          "--mode onion,crowds --messages 40 --replicas 2 "
+                          "--seed 5 --threads 2";
+  ASSERT_EQ(std::system((run + " > '" + plain_csv + "' 2>/dev/null").c_str()),
+            0);
+  ASSERT_EQ(std::system((run + " --metrics '" + metrics + "' > '" +
+                         traced_csv + "' 2>/dev/null")
+                            .c_str()),
+            0);
+  const auto slurp = [](const std::string& path) {
+    std::ifstream in(path, std::ios::binary);
+    std::ostringstream text;
+    text << in.rdbuf();
+    return text.str();
+  };
+  EXPECT_FALSE(slurp(plain_csv).empty());
+  EXPECT_EQ(slurp(traced_csv), slurp(plain_csv));
+  const anonpath::obs::metrics_document doc =
+      anonpath::obs::read_metrics_file(metrics);
+  std::vector<std::string> roots;
+  std::vector<std::string> children;
+  for (const anonpath::obs::span_record& span : doc.spans) {
+    (span.parent == 0 ? roots : children).push_back(span.name);
+    if (span.parent != 0) {
+      EXPECT_EQ(span.parent, 1u) << span.name;
+    }
+  }
+  EXPECT_EQ(roots, std::vector<std::string>{"campaign.run"});
+  EXPECT_EQ(children,
+            (std::vector<std::string>{"campaign.grid", "campaign.cells",
+                                      "campaign.write"}));
+  for (const std::string& path : {metrics, plain_csv, traced_csv})
+    std::remove(path.c_str());
 }
 
 TEST_F(CliParse, PlanMetricsTraceHasASingleRoot) {

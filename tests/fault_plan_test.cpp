@@ -172,7 +172,7 @@ TEST(FaultPlan, MixFailureEpisodesAreSeededAndLossy) {
 
 TEST(FaultPlan, NetworkCountsCrashStrandsSeparately) {
   struct sink : sim::message_sink {
-    void on_message(node_id, sim::wire_message) override {}
+    void on_message(node_id, sim::message_slot) override {}
   };
   sink s;
   sim::fault_plan plan;

@@ -41,7 +41,7 @@ TEST(MixRelay, SingleMessageFlushesOnTimer) {
   EXPECT_TRUE(f.net.queue().run_until_empty());
   EXPECT_EQ(f.recv.delivered_count(), 1u);
   // Two mix dwell times of 0.5s dominate the latency.
-  EXPECT_GT(f.recv.deliveries().at(1).at, 1.0);
+  EXPECT_GT(f.recv.delivery_of(1).at, 1.0);
 }
 
 TEST(MixRelay, FullBatchFlushesImmediately) {
@@ -51,7 +51,7 @@ TEST(MixRelay, FullBatchFlushesImmediately) {
   EXPECT_TRUE(f.net.queue().run_until_empty());
   EXPECT_EQ(f.recv.delivered_count(), 2u);
   // Far earlier than the 100s deadline: size-triggered flush.
-  EXPECT_LT(f.recv.deliveries().at(1).at, 1.0);
+  EXPECT_LT(f.recv.delivery_of(1).at, 1.0);
   EXPECT_EQ(f.relays[0]->flushed_batches(), 1u);
   EXPECT_EQ(f.relays[0]->held(), 0u);
 }
@@ -88,7 +88,7 @@ TEST(MixRelay, BatchOutputIsAPermutationOfInputs) {
   EXPECT_TRUE(f.net.queue().run_until_empty());
   EXPECT_EQ(f.recv.delivered_count(), 3u);
   for (std::uint64_t id : {1u, 2u, 3u})
-    EXPECT_TRUE(f.recv.deliveries().contains(id));
+    EXPECT_TRUE(f.recv.delivered(id));
 }
 
 TEST(MixRelay, ValidatesParameters) {

@@ -54,6 +54,36 @@ TEST(SimpleRoute, RejectsOverlongPaths) {
   EXPECT_THROW((void)sample_simple_route(5, 5, 1, g), contract_violation);
 }
 
+TEST(SimpleRouteSampler, DrawsExactlyWhatSampleSimpleRouteDraws) {
+  // Same generator state in, same route and same generator state out —
+  // for every length up to N-1, senders at both ends and in the middle,
+  // and across many consecutive draws (the pool must be restored).
+  for (const std::uint32_t n : {1u, 2u, 3u, 7u, 100u}) {
+    simple_route_sampler sampler(n);
+    stats::rng a(n * 31 + 1);
+    stats::rng b(n * 31 + 1);
+    stats::rng pick(n);
+    route got;
+    for (int draw = 0; draw < 400; ++draw) {
+      const auto sender = static_cast<node_id>(pick.next_below(n));
+      const auto length = static_cast<path_length>(pick.next_below(n));
+      const route want = sample_simple_route(n, sender, length, a);
+      sampler.sample(sender, length, b, got);
+      ASSERT_EQ(got.sender, want.sender);
+      ASSERT_EQ(got.hops, want.hops) << "n=" << n << " draw " << draw;
+      ASSERT_EQ(a.next_u64(), b.next_u64()) << "n=" << n << " draw " << draw;
+    }
+  }
+}
+
+TEST(SimpleRouteSampler, RejectsOverlongPathsAndUnknownSenders) {
+  simple_route_sampler sampler(5);
+  stats::rng gen(3);
+  route out;
+  EXPECT_THROW(sampler.sample(0, 5, gen, out), contract_violation);
+  EXPECT_THROW(sampler.sample(5, 1, gen, out), contract_violation);
+}
+
 TEST(ComplicatedRoute, NoImmediateRepeats) {
   stats::rng g(5);
   for (int i = 0; i < 300; ++i) {

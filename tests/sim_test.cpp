@@ -74,7 +74,7 @@ TEST(Network, DeliversWithLatency) {
   EXPECT_TRUE(net.queue().run_until_empty());
   EXPECT_EQ(recv.delivered_count(), 1u);
   // Two links of exactly 10ms each (no jitter, no processing).
-  EXPECT_NEAR(recv.deliveries().at(42).at, 0.020, 1e-12);
+  EXPECT_NEAR(recv.delivery_of(42).at, 0.020, 1e-12);
   EXPECT_TRUE(net.traces().at(42).delivered);
   EXPECT_EQ(net.traces().at(42).visited, (std::vector<node_id>{0}));
 }

@@ -77,7 +77,7 @@ TEST(TopologyProperty, FabricAssertsEdgesAndRegistration) {
   const net::topology topo = net::topology::ring(6, 1);
   sim::network net(6, {}, 3, {}, &topo);
   struct sink : sim::message_sink {
-    void on_message(node_id, sim::wire_message) override {}
+    void on_message(node_id, sim::message_slot) override {}
   };
   sink s;
   for (node_id i = 0; i < 6; ++i) net.register_node(i, s);
@@ -96,7 +96,7 @@ TEST(TopologyProperty, FabricCountsStrandsSeparatelyFromDrops) {
   // the fabric's diagnostics must attribute undelivered messages to the
   // right cause.
   struct sink : sim::message_sink {
-    void on_message(node_id, sim::wire_message) override {}
+    void on_message(node_id, sim::message_slot) override {}
   };
   sink s;
   sim::network net(4, {0.001, 0.0, 0.0}, 5,

@@ -59,6 +59,7 @@
 #include <limits>
 #include <map>
 #include <optional>
+#include <sstream>
 #include <string>
 #include <utility>
 #include <vector>
@@ -960,10 +961,24 @@ sim::sim_config simulate_config(const options& opt) {
           "'attack' workload; simulator sessions batch --messages into "
           "--rounds");
   reject_plan_flags(opt, "simulate/capture");
+  // One run, one config: a comma list would run only its first value and
+  // the campaign-only knobs would be dropped — refuse both loudly.
+  if (opt.n_list.size() > 1 || opt.c_list.size() > 1 ||
+      opt.dist_list.size() > 1 || opt.drop_list.size() > 1 ||
+      opt.adversary_list.size() > 1 || opt.topology_list.size() > 1 ||
+      opt.churn_list.size() > 1)
+    usage("simulate/capture take single --n/--c/--dist/--drop/--adversary/"
+          "--topology/--churn values (comma-list axes belong to 'campaign')");
+  if (!opt.rate_list.empty() || opt.replicas_set)
+    usage("--rate and --replicas drive 'campaign'; simulate/capture run one "
+          "replica at the default arrival rate");
   sim::sim_config cfg;
   cfg.sys = {opt.n, opt.c};
   cfg.compromised = spread_compromised(opt.n, opt.c);
   cfg.lengths = opt.dist.value_or(path_length_distribution::uniform(1, 8));
+  if (opt.n >= 1 && cfg.lengths.max_length() > opt.n - 1)
+    usage("--dist reaches beyond N-1 hops: a simple path in an --n node "
+          "network has at most N-1 intermediates");
   if (!opt.mode_list.empty()) {
     if (opt.mode_list.size() > 1)
       usage("simulate/capture take a single --mode (the comma-list axis "
@@ -1289,6 +1304,12 @@ int cmd_campaign(const options& opt) {
   if (!opt.input_paths.empty())
     usage("--input belongs to 'merge'; 'campaign' writes one journal via "
           "--checkpoint");
+  obs::tracer tracer;
+  obs::tracer* const tp = opt.metrics_path.empty() ? nullptr : &tracer;
+  // Every phase nests under this one root, closed before the snapshot is
+  // written: grid expansion, the cell runs, and the CSV rendering.
+  std::optional<obs::span> root(std::in_place, tp, "campaign.run");
+  std::optional<obs::span> grid_span(std::in_place, tp, "campaign.grid");
   const sim::campaign_grid grid = build_campaign_grid(opt, "campaign");
   sim::campaign_config cfg = build_campaign_config(opt);
   if (opt.resume && opt.checkpoint_path.empty())
@@ -1321,22 +1342,33 @@ int cmd_campaign(const options& opt) {
     ++local_cells;
   obs::progress_meter progress("campaign cells", local_cells, opt.progress);
   if (opt.progress) cfg.progress = &progress;
+  grid_span.reset();
 
   const auto t0 = std::chrono::steady_clock::now();
-  const auto result = sim::run_campaign(grid, cfg);
+  const auto result = [&] {
+    obs::span span(tp, "campaign.cells");
+    return sim::run_campaign(grid, cfg);
+  }();
   const auto t1 = std::chrono::steady_clock::now();
+  // Pure CSV on stdout (diffable across runs and thread counts); the run
+  // synopsis goes to stderr.
+  std::ostringstream csv;
+  {
+    obs::span span(tp, "campaign.write");
+    sim::write_csv(result, csv);
+  }
+  root.reset();
   // The snapshot is written before the CSV so a sharded campaign's
   // journal + metrics pair stays consistent even if stdout later fails;
   // the write itself is checked (parse_error{io} exits nonzero).
   if (!opt.metrics_path.empty())
-    obs::write_metrics_file(opt.metrics_path, registry.snapshot(), {});
+    obs::write_metrics_file(opt.metrics_path, registry.snapshot(),
+                            tracer.spans());
   const double secs =
       std::chrono::duration_cast<std::chrono::duration<double>>(t1 - t0)
           .count();
 
-  // Pure CSV on stdout (diffable across runs and thread counts); the run
-  // synopsis goes to stderr.
-  sim::write_csv(result, std::cout);
+  std::cout << csv.str();
   if (cfg.shard_count > 1)
     std::fprintf(stderr, "# shard %u/%u: %llu of the grid's cells\n",
                  cfg.shard_index, cfg.shard_count,
