@@ -66,8 +66,8 @@ struct message_trace {
 /// a slab of wire_message records recycled through a free list; events
 /// and sinks refer to them by message_slot, so a hop moves a 4-byte
 /// handle rather than the envelope, relays peel the envelope in place, and
-/// a run reuses the same few dozen records (and their byte buffers) for
-/// all of its traffic. Traces are indexed by message id — dense ids (the
+/// a run needs only as many records as it ever has messages in flight at
+/// once. Traces are indexed by message id — dense ids (the
 /// simulator's originals 1..M, retries after) keep them compact; memory is
 /// linear in the largest id seen.
 class network final : public event_handler {
