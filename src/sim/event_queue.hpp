@@ -92,6 +92,7 @@ class event_queue {
     std::uint32_t slot;
     event_kind kind;
   };
+  static_assert(sizeof(record) == 24);
   /// Heap order: the root is the smallest (at, seq).
   struct later {
     bool operator()(const record& a, const record& b) const noexcept {

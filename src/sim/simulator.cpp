@@ -173,7 +173,7 @@ class traffic_source final : public event_handler {
     else on_retry_timer(slot);
   }
 
-  /// Original message id of retransmission `id` (> message_count).
+  /// Entry k: the original message of retransmission message_count + 1 + k.
   [[nodiscard]] const std::vector<std::uint64_t>& attempt_parents() const {
     return attempt_parent_;
   }
@@ -289,8 +289,7 @@ class traffic_source final : public event_handler {
   route route_;  ///< reused route buffer
   /// Indexed by original id (1..message_count); empty without retries.
   std::vector<retry_state> retries_;
-  /// Attempt ids continue past message_count, so original ids stay dense;
-  /// entry k is the original of attempt message_count + 1 + k.
+  /// Attempt ids continue past message_count, so original ids stay dense.
   std::vector<std::uint64_t> attempt_parent_;
   std::uint64_t next_attempt_id_;
 };

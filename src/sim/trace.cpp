@@ -538,8 +538,9 @@ sim_trace read_trace(std::istream& is) {
   }
 
   // The attempt map rides exactly when the retry policy is on: ids are
-  // strictly ascending (unique, byte-stable rewrite), live strictly above
-  // the original 1..message_count range, and point back into it.
+  // consecutive from message_count + 1 (as the simulator assigns them, so
+  // the rewrite is byte-stable and replay's id-indexed adversary log stays
+  // dense) and point back into the original 1..message_count range.
   if (c.retry.enabled()) {
     expect_keyword(is, "attempts");
     const std::uint32_t attempt_count = get_u32(is, "attempt count");
@@ -548,9 +549,9 @@ sim_trace read_trace(std::istream& is) {
       expect_keyword(is, "A");
       const std::uint64_t id = get_u64(is, "attempt id");
       const std::uint64_t parent = get_u64(is, "attempt parent");
-      if (id <= last_attempt)
+      if (id != last_attempt + 1)
         bad(parse_error_kind::out_of_range,
-            "attempt ids must ascend past the message count");
+            "attempt ids must run consecutively past the message count");
       if (parent < 1 || parent > c.message_count)
         bad(parse_error_kind::out_of_range, "attempt parent out of range");
       last_attempt = id;

@@ -97,6 +97,29 @@ TEST(PartialCoverage, HonestReceiverYieldsReceiverlessObservations) {
   EXPECT_EQ(model.observed_messages(), std::vector<std::uint64_t>{7});
 }
 
+TEST(FullCoalition, IdIndexedLogStaysAscendingAndRejectsUnknownIds) {
+  // Reports filed out of id order still list ascending; ids inside the
+  // log's range that were never reported, and ids past it, are unknown.
+  full_coalition_model model({false, true, false});
+  for (const std::uint64_t id : {9u, 3u, 5u}) {
+    model.note_relay(id, 1.0, 1, 0, 2);
+    model.note_receipt(id, 2.0, 2);
+  }
+  model.note_relay(4, 1.0, 1, 0, 2);  // captured, never delivered
+  EXPECT_EQ(model.observed_messages(), (std::vector<std::uint64_t>{3, 5, 9}));
+  for (const std::uint64_t id : {0u, 4u, 6u, 10u, 1000u}) {
+    EXPECT_FALSE(model.complete(id)) << id;
+    EXPECT_THROW((void)model.assemble(id), std::out_of_range) << id;
+  }
+
+  partial_coverage_model partial({false, true, false}, false);
+  partial.note_relay(8, 1.0, 1, 0, 2);
+  partial.note_relay(2, 1.0, 1, 0, 2);
+  EXPECT_EQ(partial.observed_messages(), (std::vector<std::uint64_t>{2, 8}));
+  EXPECT_THROW((void)partial.assemble(5), std::out_of_range);
+  EXPECT_THROW((void)partial.assemble(9), std::out_of_range);
+}
+
 TEST(PartialCoverage, CompromisedReceiverBehavesLikeFullCoalition) {
   const std::vector<bool> flags{false, true, false, false};
   partial_coverage_model partial(flags, true);

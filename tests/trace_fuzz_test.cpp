@@ -208,6 +208,26 @@ TEST(TraceFuzz, HostileCountsAreRejectedWithoutAllocating) {
   }
 }
 
+TEST(TraceFuzz, SparseAttemptIdsAreRejected) {
+  // Retransmission ids run consecutively from messages + 1, as the
+  // simulator assigns them; a gap — above all a far-off id — would make
+  // replay's id-indexed adversary log span ids no run produced.
+  const std::string base = synthetic_text();
+  const std::size_t at = base.find("\nA 26 ");
+  ASSERT_NE(at, std::string::npos) << "the fault corpus retransmits nothing";
+  for (const char* forged : {"\nA 27 ", "\nA 9223372036854775807 "}) {
+    std::string text = base;
+    text.replace(at, 6, forged);
+    std::istringstream is(text);
+    try {
+      (void)sim::read_trace(is);
+      ADD_FAILURE() << "accepted attempt id in '" << forged << "'";
+    } catch (const parse_error& e) {
+      EXPECT_EQ(e.kind(), parse_error_kind::out_of_range) << e.what();
+    }
+  }
+}
+
 TEST(TraceFuzz, ParseErrorsCarryTheTaxonomy) {
   const auto kind_of = [](const std::string& text) {
     std::istringstream is(text);
