@@ -1,8 +1,10 @@
-// Negative-parse matrix for the anonpath CLI's numeric flags. Every value
-// below used to slip through atoi/atoll (garbage parsing as 0, "4x" as 4)
-// or strtod without an end check; the checked parsers must refuse each with
-// a nonzero exit and a diagnostic on stderr. Runs the real binary — the
-// build exports its path via ANONPATH_CLI_BINARY; without it (library-only
+// Parse matrices for the anonpath CLI. Numeric values that used to slip
+// through atoi/atoll (garbage parsing as 0, "4x" as 4) or strtod without an
+// end check must be refused with a nonzero exit and a diagnostic on stderr;
+// flags a command does not read, repeats and off-grid lists are usage
+// errors (exit 2), checked against the per-command flag lists the usage
+// text prints from the CLI's flag table. Runs the real binary — the build
+// exports its path via ANONPATH_CLI_BINARY; without it (library-only
 // builds) the suite skips.
 
 #include <gtest/gtest.h>
@@ -13,8 +15,11 @@
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
+#include <map>
+#include <set>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "src/obs/jsonl.hpp"
@@ -118,6 +123,61 @@ TEST_F(CliParse, FloatFlagsRejectJunkTails) {
         std::string("simulate --n 20 --c 2 --rate '") + value + "'");
     EXPECT_NE(r.exit_code, 0) << "--rate accepted '" << value << "'";
     EXPECT_FALSE(r.stderr_text.empty());
+    // simulate does not read --rate at all; campaign parses the value.
+    const run_result grid = run_cli(
+        std::string("campaign --n 16 --c 1 --messages 10 --rate '") + value +
+        "'");
+    EXPECT_EQ(grid.exit_code, 2) << "campaign --rate '" << value << "'";
+    EXPECT_NE(grid.stderr_text.find("error: "), std::string::npos);
+  }
+  // Values the flag parsers used to take unchecked: a threshold outside
+  // [0, 1] (capture wrote a trace its own replay rejects), non-finite
+  // thresholds, rates and popularity exponents. Each is a usage error.
+  for (const char* args : {
+           "capture --n 16 --c 1 --messages 10 --out /dev/null "
+           "--threshold 7",
+           "simulate --n 16 --c 1 --messages 10 --threshold nan",
+           "simulate --n 16 --c 1 --messages 10 --threshold -0.5",
+           "campaign --n 16 --c 1 --messages 10 --replicas 1 --threshold 1.5",
+           "campaign --n 16 --c 1 --messages 10 --replicas 1 --rate inf",
+           "campaign --n 16 --c 1 --messages 10 --replicas 1 --rate 50,nan",
+           "attack --users 200 --rounds 30 --attack sda "
+           "--receiver-law zipf:inf",
+           "attack --users 200 --rounds 30 --attack sda --sender-law zipf:nan",
+           "simulate --n 16 --c 1 --messages 30 --population 10 --rounds 5 "
+           "--receiver-law zipf:inf",
+           "attack --users 200 --rounds 30 --attack sda --send-rate nan",
+       }) {
+    const run_result r = run_cli(args);
+    EXPECT_EQ(r.exit_code, 2) << "anonpath " << args;
+    EXPECT_NE(r.stderr_text.find("error: "), std::string::npos)
+        << "no usage diagnostic: anonpath " << args;
+  }
+}
+
+TEST_F(CliParse, DistSpecsAreCheckedBeforeConstruction) {
+  // Negative lengths used to wrap into a huge allocation (std::bad_alloc),
+  // inverted or out-of-range shapes tripped a library precondition, and
+  // non-integer lengths truncated silently. All exited 134 or ran the
+  // wrong strategy; each is a usage error now.
+  for (const char* spec : {"F:-1", "U:5,2", "G:2,1,4", "G:-0.1,1,4",
+                           "G:0.5,4,1", "P:nan,5", "P:0,5", "P:-1,5",
+                           "P:inf,5", "P:1000,5", "F:abc", "F:2.7", "F:1e20",
+                           "F:", "U:1", "U:1,2,3", "X:3", "F3", "U:1,,3"}) {
+    const std::string args =
+        std::string("degree --n 50 --dist '") + spec + "'";
+    const run_result r = run_cli(args);
+    EXPECT_EQ(r.exit_code, 2) << "anonpath " << args;
+    EXPECT_NE(r.stderr_text.find("error: "), std::string::npos)
+        << "no usage diagnostic: anonpath " << args;
+  }
+  // Positive control: every family still parses.
+  for (const char* spec : {"F:0", "F:5", "U:2,14", "G:0.5,1,20", "G:0,3,3",
+                           "P:3.5,20"}) {
+    EXPECT_EQ(run_cli(std::string("degree --n 50 --dist '") + spec + "'")
+                  .exit_code,
+              0)
+        << spec;
   }
 }
 
@@ -127,7 +187,10 @@ TEST_F(CliParse, ZeroWhereItIsMeaningless) {
   for (const char* args :
        {"simulate --n 20 --c 2 --messages 0",
         "campaign --n 20 --c 2 --replicas 0",
-        "optimize --n 50 --c 2 --samples 0", "plan --n 100 --routes 0"}) {
+        "optimize --n 50 --c 2 --samples 0", "plan --n 100 --routes 0",
+        // optimize reads neither --c nor --samples, so the row above is
+        // refused before the value is looked at; estimate reads both.
+        "estimate --n 50 --c 2 --samples 0"}) {
     const run_result r = run_cli(args);
     EXPECT_NE(r.exit_code, 0) << "accepted: anonpath " << args;
     EXPECT_FALSE(r.stderr_text.empty());
@@ -509,6 +572,210 @@ TEST_F(CliParse, WriteFailuresExitNonzeroWithDiagnostic) {
         << c.tag << ": no stderr diagnostic, got: " << text.str();
     std::remove(err_path.c_str());
   }
+}
+
+/// Each command's flags as the usage text lists them (the text is generated
+/// from the CLI's flag table): "  <command>  <help>" followed by indented
+/// lines of flag names, up to the first blank line.
+std::map<std::string, std::set<std::string>> flags_by_command() {
+  const run_result r = run_cli("");
+  std::map<std::string, std::set<std::string>> out;
+  std::istringstream in(r.stderr_text);
+  std::string line, current;
+  std::getline(in, line);  // "usage: ..."
+  std::getline(in, line);  // blank
+  while (std::getline(in, line) && !line.empty()) {
+    std::istringstream words(line);
+    std::string word;
+    words >> word;
+    if (word.rfind("--", 0) != 0) {
+      current = word;
+      out[current];
+      continue;
+    }
+    do out[current].insert(word);
+    while (words >> word);
+  }
+  return out;
+}
+
+/// The flag spellings in an argument string ("--metrics=x" counts as
+/// --metrics).
+std::set<std::string> flags_in(const std::string& args) {
+  std::set<std::string> out;
+  std::istringstream words(args);
+  std::string word;
+  while (words >> word)
+    if (word.rfind("--", 0) == 0) out.insert(word.substr(0, word.find('=')));
+  return out;
+}
+
+TEST_F(CliParse, FlagsACommandIgnoresAreRefused) {
+  // Each of these exited 0 while ignoring part of the request: a flag the
+  // command never reads, or a list where the command runs one value.
+  for (const char* args : {
+           "replay --in t.trace --n 999 --seed 42 --dist F:2 "
+           "--topology ring:2",
+           "replay --in t.trace --n 999",
+           "simulate --n 20 --c 2 --messages 20 --out x.trace",
+           "degree --c 9 --samples 5",
+           "degree --n 50 --c 9",
+           "degree --n 50 --samples 5",
+           "plan --c 5 --mode crowds --adversary timing",
+           "plan --n 100 --c 5",
+           "plan --n 100 --mode crowds",
+           "plan --n 100 --adversary timing",
+           "attack --users 200 --rounds 30 --attack sda --samples 4 "
+           "--out foo --in bar",
+           "attack --users 200 --rounds 30 --attack sda --samples 4",
+           "attack --users 200 --rounds 30 --attack sda --out foo",
+           "attack --users 200 --rounds 30 --attack sda --in bar",
+           "campaign --n 16 --c 1 --messages 20 --breakdown --mean 2",
+           "campaign --n 16 --c 1 --messages 20 --breakdown",
+           "campaign --n 16 --c 1 --messages 20 --mean 2",
+           "estimate --n 50,80",
+           "plan --topology regular:4,ring:2",
+           "merge --n 16 --c 1 --input x.ckpt --threads 8",
+           "simulate --n 20 --c 2 --users 5",
+           "figures --seed 1",
+           // Accepted at one value and refused at another before; a flag
+           // either applies to a command or it does not.
+           "degree --n 50 --topology complete",
+           "degree --n 50 --churn 0",
+           "optimize --n 50 --topology complete",
+           "figures --n 20 --churn 0",
+           "attack --users 200 --rounds 30 --attack sda --topology complete",
+           "estimate --n 50 --churn 0",
+           "plan --n 100 --churn 0",
+       }) {
+    const run_result r = run_cli(args);
+    EXPECT_EQ(r.exit_code, 2) << "anonpath " << args;
+    EXPECT_NE(r.stderr_text.find("error: "), std::string::npos)
+        << "no usage diagnostic: anonpath " << args;
+  }
+  // And every cell of the table in the refusing direction: each flag the
+  // usage text does not list for a command is refused on that command,
+  // before its value is looked at.
+  const auto table = flags_by_command();
+  ASSERT_EQ(table.size(), 11u);
+  std::set<std::string> all;
+  for (const auto& [command, flags] : table)
+    all.insert(flags.begin(), flags.end());
+  ASSERT_EQ(all.size(), 47u);
+  for (const auto& [command, flags] : table)
+    for (const std::string& flag : all) {
+      if (flags.count(flag) != 0) continue;
+      const std::string args = command + " " + flag + " 1";
+      const run_result r = run_cli(args);
+      EXPECT_EQ(r.exit_code, 2) << "anonpath " << args;
+      EXPECT_NE(r.stderr_text.find("does not apply to '" + command + "'"),
+                std::string::npos)
+          << "anonpath " << args << ": " << r.stderr_text.substr(0, 200);
+    }
+}
+
+TEST_F(CliParse, RepeatsAndOffGridListsAreRefused) {
+  for (const char* args : {
+           // A flag that does not repeat, given twice.
+           "degree --n 50 --breakdown --breakdown",
+           "simulate --n 20 --c 2 --messages 20 --seed 1 --seed 2",
+           "campaign --n 16 --c 1 --messages 20 --replicas 1 --replicas 2",
+           "plan --n 100 --routes 5 --routes 6",
+           "simulate --n 20 --c 2 --messages 20 --metrics a --metrics=b",
+           // An axis repeated, or given a list, off campaign/merge.
+           "estimate --n 50 --n 60",
+           "simulate --n 20 --c 2 --messages 20 --mode onion --mode crowds",
+           "attack --users 200 --rounds 30,40 --attack sda",
+           "attack --users 200 --rounds 30 --attack sda --attack bayes",
+           "plan --n 100 --routing kpaths:2 --routing walk",
+           "capture --n 20 --c 2 --messages 20 --retry 0,1",
+       }) {
+    const run_result r = run_cli(args);
+    EXPECT_EQ(r.exit_code, 2) << "anonpath " << args;
+    EXPECT_NE(r.stderr_text.find("error: "), std::string::npos)
+        << "no usage diagnostic: anonpath " << args;
+  }
+  // An unknown command exits 2 before any flag is read.
+  const run_result unknown = run_cli("frobnicate --no-such-flag");
+  EXPECT_EQ(unknown.exit_code, 2);
+  EXPECT_NE(unknown.stderr_text.find("unknown command frobnicate"),
+            std::string::npos)
+      << unknown.stderr_text;
+  // Positive controls: axes repeat and take lists on campaign; --crash
+  // repeats everywhere.
+  EXPECT_EQ(run_cli("campaign --n 16 --n 20 --c 1,2 --messages 20 "
+                    "--replicas 1 --mode onion --mode crowds")
+                .exit_code,
+            0);
+  EXPECT_EQ(run_cli("simulate --n 20 --c 2 --messages 20 --crash 3:0:1 "
+                    "--crash 4:0:1,5:1:1")
+                .exit_code,
+            0);
+}
+
+TEST_F(CliParse, EveryCommandAcceptsEveryFlagItReads) {
+  // One invocation per command passing every flag the usage text lists for
+  // it, so the table cannot drop a flag a command needs; the flag sets
+  // must match the usage text exactly, so a flag added to the table needs
+  // a row here too.
+  const std::string dir = ::testing::TempDir() + "anonpath_every." +
+                          std::to_string(::getpid()) + ".";
+  const std::string sim =
+      "--n 20 --c 2 --dist U:1,4 --mode onion --adversary full "
+      "--topology complete --routing walk --churn 0 --messages 40 --seed 3 "
+      "--drop 0.05 --retry 1:0.3 --mix-failures 0 --crash 3:0:1 "
+      "--threshold 0.9 --population 10 --rounds 4 --attack sda "
+      "--stream exact --receiver-law zipf:1.1";
+  const std::string grid = sim + " --rate 50 --replicas 1";
+  // The journal merge combines: a one-shard run with its metrics sibling.
+  // (Not the campaign row below: --via-trace is part of a journal's scope,
+  // and merge does not read it.)
+  ASSERT_EQ(run_cli("campaign " + grid + " --shard 0/1 --checkpoint '" + dir +
+                    "shard.ckpt' --metrics '" + dir + "shard.ckpt.metrics'")
+                .exit_code,
+            0);
+  const std::vector<std::pair<std::string, std::string>> rows = {
+      {"degree", "--n 50 --dist F:3 --breakdown"},
+      {"estimate",
+       "--n 50 --c 2 --dist U:1,5 --topology complete --seed 3 --threads 2 "
+       "--samples 2000 --shards 4 --no-dedup"},
+      {"optimize", "--n 50 --mean 4"},
+      {"simulate",
+       sim + " --metrics '" + dir + "sim.jsonl' --progress"},
+      {"capture", sim + " --out '" + dir + "run.trace'"},
+      {"replay", "--in '" + dir + "run.trace'"},
+      {"campaign",
+       grid + " --threads 2 --via-trace --checkpoint '" + dir +
+           "campaign.ckpt' --resume --shard 0/1 --metrics='" + dir +
+           "campaign.jsonl' --progress"},
+      {"merge",
+       grid + " --input '" + dir + "shard.ckpt' --checkpoint '" + dir +
+           "merged.ckpt' --metrics '" + dir + "merged.jsonl' --progress"},
+      {"attack",
+       "--seed 3 --threshold 0.5 --population 200 --rounds 40 --attack sda "
+       "--stream exact --receiver-law uniform --sender-law zipf:1.2 "
+       "--users 300 --pairs 1 --round-size 8 --send-rate 0.9 --every 10 "
+       "--threads 2 --metrics '" + dir + "attack.jsonl' --progress"},
+      {"plan",
+       "--n 200 --topology regular:4 --routing kpaths:2 --seed 3 --csr "
+       "--components --source 1 --routes 5 --metrics '" + dir +
+           "plan.jsonl' --progress"},
+      {"figures", "--n 20"},
+  };
+  const auto table = flags_by_command();
+  ASSERT_EQ(table.size(), rows.size());
+  for (const auto& [command, args] : rows) {
+    ASSERT_EQ(table.count(command), 1u) << command;
+    EXPECT_EQ(flags_in(args), table.at(command)) << command;
+    const run_result r = run_cli(command + " " + args);
+    EXPECT_EQ(r.exit_code, 0) << "anonpath " << command << " " << args
+                              << "\n" << r.stderr_text.substr(0, 400);
+  }
+  for (const char* file :
+       {"shard.ckpt", "shard.ckpt.metrics", "sim.jsonl", "run.trace",
+        "campaign.ckpt", "campaign.jsonl", "merged.ckpt", "merged.jsonl",
+        "attack.jsonl", "plan.jsonl"})
+    std::remove((dir + file).c_str());
 }
 
 TEST_F(CliParse, PositiveControls) {

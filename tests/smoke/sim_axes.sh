@@ -108,6 +108,13 @@ case "$section" in
     if "$anonpath" campaign $grid --replicas 3 \
       --checkpoint kill.ckpt --resume > /dev/null; then
       echo "expected scope-mismatch failure"; exit 1; fi
+    # The line above repeats --replicas, which the CLI refuses before any
+    # journal is read; this one changes the replica count in place, so
+    # the journal's scope check is what refuses it.
+    if "$anonpath" campaign ${grid/--replicas 6/--replicas 3} \
+      --checkpoint kill.ckpt --resume > /dev/null 2> scope.log; then
+      echo "expected scope-mismatch failure"; exit 1; fi
+    grep -q "scope mismatch" scope.log
     # Out-of-range fault parameters fail loudly at config time.
     if "$anonpath" simulate --n 20 --drop 1.5 --messages 50; then
       echo "expected failure"; exit 1; fi

@@ -23,31 +23,43 @@
 //                     --attack none,sda             session axes
 //   anonpath figures  --n 100                       dump all paper figures
 //
-// Distribution syntax: F:l | U:a,b | G:pf,min,max (geometric) | P:lambda,max.
-// Adversary syntax: full | partial:<f>[:honest] | timing (the coverage
-// fraction f in [0,1]; ":honest" leaves the receiver uncompromised).
-// Topology syntax: complete | ring:<k> | regular:<d>[:<seed>] | tiered:<t>
-// | trust:<decay>; out-of-range parameters (for the given --n) are a hard
-// error, never a silent fallback to the clique.
-// Routing syntax: walk (default) | kpaths[:<k>] — planned k-shortest-path
-// routing (Dijkstra/Yen); requires onion mode and a non-timing adversary.
-// Churn syntax: 0 (static) | <down_rate>[:<mean_downtime>] (seconds).
-// Retry syntax: <max>[:<timeout>[:<backoff>[:<max_timeout>]]] (0 = off).
-// Mix-failure syntax: <count>[:<horizon>[:<mean_duration>]] (0 = off).
-// Crash syntax: <node>:<start>:<duration> (repeatable; applies to every
-// cell of a campaign, so a node outside some cell's N fails that cell
-// into its error column instead of killing the sweep).
-// Popularity-law syntax: uniform | zipf:<s> (s > 0).
-// Attack syntax: none | intersection | sda | bayes (sequential_bayes).
-// Stream-backend syntax: exact | sketch (sketched sda accumulator state:
-// count-min counts plus a bottom-k candidate reservoir; sda cells only).
-// Campaign axes (--n, --c, --drop, --rate, --mode, --adversary,
-// --topology, --routing, --churn, --population, --rounds, --attack) take
-// comma-separated lists and --dist may repeat; the campaign runs their
-// cartesian product. Out-of-range or unknown values exit loudly (status 2),
-// never silently fall back.
+// Every flag is declared once, as one row of the flag table (k_flags, near
+// the end of this file): its spelling, its value shape, the parser that
+// writes it into `options`, the commands that read it, and one help line.
+// parse() is a single loop over that table; the usage text and the command
+// dispatch are generated from it and from the command table beside it. A
+// flag the command does not read is refused with exit status 2, never
+// silently ignored. Value shapes:
+//   switch  no value;
+//   single  one value, given once;
+//   axis    one value, given once — except on campaign and merge, where the
+//           value is a comma list and the flag may repeat, and the campaign
+//           runs the cartesian product of its axes (--dist only repeats:
+//           its own syntax uses commas);
+//   multi   repeats on every command (--crash also takes comma lists).
+// Values are parsed with checks: garbage, trailing junk, out-of-range and
+// non-finite numbers, and unknown or incoherent forms are usage errors
+// (status 2), never a silent fallback. Value syntax:
+//   distribution  F:l | U:a,b | G:pf,min,max (geometric) | P:lambda,max
+//   adversary     full | partial:<f>[:honest] | timing (coverage f in [0,1];
+//                 ":honest" leaves the receiver uncompromised)
+//   topology      complete | ring:<k> | regular:<d>[:<seed>] | tiered:<t>
+//                 | trust:<decay>; parameters out of range for N are an error
+//   routing       walk (default) | kpaths[:<k>] (planned k-shortest paths;
+//                 onion mode and a non-timing adversary)
+//   churn         0 (static) | <down_rate>[:<mean_downtime>] (seconds)
+//   retry         <max>[:<timeout>[:<backoff>[:<max_timeout>]]] (0 = off)
+//   mix failures  <count>[:<horizon>[:<mean_duration>]] (0 = off)
+//   crash         <node>:<start>:<duration> (a campaign applies it to every
+//                 cell; a node outside some cell's N fails that cell into
+//                 its error column instead of killing the sweep)
+//   law           uniform | zipf:<s> (s > 0)
+//   attack        none | intersection | sda | bayes (sequential_bayes)
+//   stream        exact | sketch (count-min counts plus a bottom-k
+//                 candidate reservoir; sda only)
 
 #include <algorithm>
+#include <cctype>
 #include <cerrno>
 #include <cmath>
 #include <csignal>
@@ -56,8 +68,8 @@
 #include <cstring>
 #include <fstream>
 #include <iostream>
+#include <iterator>
 #include <limits>
-#include <map>
 #include <optional>
 #include <sstream>
 #include <string>
@@ -97,119 +109,27 @@ namespace {
 
 using namespace anonpath;
 
-[[noreturn]] void usage(const char* msg = nullptr) {
-  if (msg != nullptr) std::fprintf(stderr, "error: %s\n\n", msg);
-  std::fprintf(
-      stderr,
-      "usage: anonpath "
-      "<degree|estimate|optimize|simulate|campaign|merge|capture|replay"
-      "|attack|plan|figures> [options]\n"
-      "  common:   --n <nodes>      (default 100)\n"
-      "            --c <compromised> (default 1)\n"
-      "            --dist F:l | U:a,b | G:pf,min,max | P:lambda,max\n"
-      "            --adversary full | partial:<f>[:honest] | timing\n"
-      "            --topology complete | ring:<k> | regular:<d>[:<seed>]\n"
-      "                       | tiered:<t> | trust:<decay>\n"
-      "            --routing walk | kpaths[:<k>]  planned k-shortest-path\n"
-      "                      routing (simulate/capture/campaign/plan)\n"
-      "            --churn 0 | <down_rate>[:<mean_downtime>]\n"
-      "            --retry <max>[:<timeout>[:<backoff>[:<max_timeout>]]]\n"
-      "            --mix-failures <count>[:<horizon>[:<mean_duration>]]\n"
-      "            --crash <node>:<start>:<duration>  (repeatable)\n"
-      "  degree:   [--breakdown]\n"
-      "  estimate: [--samples k] [--seed s] [--threads t (0=all cores)]\n"
-      "            [--shards k] [--no-dedup]   Monte-Carlo H* for any C\n"
-      "            (a restricted --topology uses the walk-model engine)\n"
-      "  optimize: --mean <target expected length>\n"
-      "  simulate: [--messages k] [--seed s] [--drop p] [--threshold x]\n"
-      "            [--population P --rounds R --attack a] session mode\n"
-      "            [--stream exact|sketch]  sda accumulator backend\n"
-      "  campaign: scenario-grid sweep on the simulator; CSV to stdout.\n"
-      "            axes (comma lists): --n --c --drop --rate --adversary\n"
-      "            --topology --routing --churn --mix-failures --retry\n"
-      "            --population\n"
-      "            --rounds --attack --stream; --mode onion,crowds; --dist\n"
-      "            may repeat (one spec each)\n"
-      "            [--replicas r (default 8)] [--messages k (default 500)]\n"
-      "            [--seed s] [--threads t (0=all cores)] [--via-trace]\n"
-      "            [--receiver-law uniform|zipf:<s>]\n"
-      "            [--checkpoint file [--resume]]  crash-resumable journal\n"
-      "            [--shard i/n]  run only cells with index = i mod n\n"
-      "            (requires --checkpoint; combine shards with 'merge')\n"
-      "  merge:    combine completed shard journals into the unsharded\n"
-      "            result: the campaign's grid/config flags (they rebuild\n"
-      "            the scope fingerprint) + --input file (repeatable, one\n"
-      "            per shard) [--checkpoint file  also write the merged\n"
-      "            journal]; CSV to stdout, bit-identical to an unsharded\n"
-      "            run\n"
-      "  attack:   longitudinal disclosure on a population workload (no\n"
-      "            rerouting sim): --attack intersection|sda|bayes plus\n"
-      "            [--users U] [--population P (default U)] [--rounds R]\n"
-      "            [--pairs M] [--round-size B] [--send-rate p]\n"
-      "            [--sender-law L] [--receiver-law L] [--threshold x]\n"
-      "            [--seed s] [--every k] [--threads t (sda cross-check)]\n"
-      "            [--stream exact|sketch  online conformance report]\n"
-      "            trajectory CSV to stdout, summary to stderr\n"
-      "  capture:  simulate flags + [--out file (default stdout)]; writes\n"
-      "            the adversary's event trace instead of scoring it\n"
-      "  replay:   --in file; re-scores a captured trace offline (same\n"
-      "            output as simulate, no event-driven re-run)\n"
-      "  plan:     graph construction & route-planning diagnostics at scale\n"
-      "            (CSR storage, Dijkstra, Yen k-shortest paths): [--csr]\n"
-      "            [--components] [--source u] [--routes r (default 100)]\n"
-      "            [--routing kpaths[:<k>]] [--seed s]\n"
-      "  figures:  (dumps fig3a/3b/4/5/6 series as CSV)\n"
-      "  obs:      --metrics <file> (or --metrics=<file>)  write a JSONL\n"
-      "            metrics snapshot; --progress  '# progress:' heartbeat\n"
-      "            with ETA on stderr. Both apply to simulate, campaign,\n"
-      "            attack, plan and merge only; merge --metrics reads each\n"
-      "            --input FILE's FILE.metrics sibling and writes their\n"
-      "            merged snapshot\n");
-  std::exit(2);
-}
+/// Prints `error: <msg>` (when given) and the usage text, then exits 2.
+[[noreturn]] void usage(const std::string& msg = {});
 
-path_length_distribution parse_dist(const std::string& spec) {
-  const auto colon = spec.find(':');
-  if (colon == std::string::npos) usage("bad --dist (missing ':')");
-  const std::string kind = spec.substr(0, colon);
-  const std::string args = spec.substr(colon + 1);
-  auto split = [&args]() {
-    std::vector<double> out;
-    std::size_t pos = 0;
-    while (pos <= args.size()) {
-      const auto comma = args.find(',', pos);
-      const std::string tok =
-          args.substr(pos, comma == std::string::npos ? comma : comma - pos);
-      if (tok.empty()) usage("bad --dist arguments");
-      out.push_back(std::strtod(tok.c_str(), nullptr));
-      if (comma == std::string::npos) break;
-      pos = comma + 1;
-    }
-    return out;
-  };
-  const auto v = split();
-  if (kind == "F" && v.size() == 1)
-    return path_length_distribution::fixed(static_cast<path_length>(v[0]));
-  if (kind == "U" && v.size() == 2)
-    return path_length_distribution::uniform(static_cast<path_length>(v[0]),
-                                             static_cast<path_length>(v[1]));
-  if (kind == "G" && v.size() == 3)
-    return path_length_distribution::geometric(
-        v[0], static_cast<path_length>(v[1]), static_cast<path_length>(v[2]));
-  if (kind == "P" && v.size() == 2)
-    return path_length_distribution::poisson(v[0],
-                                             static_cast<path_length>(v[1]));
-  usage("unrecognized --dist form");
-}
+struct options;
+
+/// A subcommand: its name, its bit in the flag table, and its entry point.
+struct command {
+  const char* name;
+  unsigned bit;
+  int (*run)(const options&);
+  const char* help;
+};
 
 struct options {
-  std::string command;
+  const command* cmd = nullptr;
   std::uint32_t n = 100;
   std::uint32_t c = 1;
   std::optional<path_length_distribution> dist;
   double mean = 5.0;
   std::uint32_t messages = 2000;
-  bool messages_set = false;
+  bool messages_set = false;  ///< campaign defaults to 500 messages
   std::uint64_t seed = 1;
   double drop = 0.0;
   bool breakdown = false;
@@ -217,9 +137,9 @@ struct options {
   unsigned threads = 0;
   std::uint64_t shards = 0;
   bool dedup = true;
-  // Campaign axes: every --n/--c/--drop/--rate value seen (comma lists),
-  // every --dist spec, every --mode. Scalar commands read the fields above,
-  // which track the first value of each list.
+  // Axes: every value seen (comma lists and repeats on campaign/merge, at
+  // most one value elsewhere; --n, --c, --dist and --drop also keep it in
+  // the scalars above).
   std::vector<std::uint32_t> n_list;
   std::vector<std::uint32_t> c_list;
   std::vector<path_length_distribution> dist_list;
@@ -236,11 +156,9 @@ struct options {
   std::string checkpoint_path;   ///< campaign: journal file ("" = off)
   bool resume = false;           ///< campaign: adopt the journal's prefix
   std::uint32_t shard_index = 0; ///< campaign: this process's shard
-  std::uint32_t shard_count = 1; ///< campaign: total shards (--shard i/n)
-  bool shard_set = false;
+  std::uint32_t shard_count = 0; ///< campaign: total shards (0 = unsharded)
   std::vector<std::string> input_paths;  ///< merge: shard journals
   std::uint32_t replicas = 8;
-  bool replicas_set = false;
   double threshold = 0.99;
   bool via_trace = false;
   std::string out_path;  ///< capture: trace destination ("" = stdout)
@@ -254,9 +172,7 @@ struct options {
   std::uint32_t pairs = 1;            ///< attack: persistent pairs
   std::uint32_t round_size = 32;      ///< attack: threshold batch size
   double send_rate = 1.0;             ///< attack: per-round pair send prob.
-  bool workload_flag_set = false;     ///< any of the four above (or --every)
   workload::popularity_law sender_law{};
-  bool sender_law_set = false;
   workload::popularity_law receiver_law{};
   bool receiver_law_set = false;
   std::uint32_t every = 0;            ///< attack: trajectory stride (0=auto)
@@ -265,12 +181,134 @@ struct options {
   bool plan_components = false;       ///< plan: run connected components
   std::uint32_t plan_source = 0;      ///< plan: Dijkstra source node
   std::uint32_t plan_routes = 100;    ///< plan: routes to extract/plan
-  bool plan_flag_set = false;         ///< any of the four above
   // Observability surface (src/obs). Off by default: no registry, no
   // tracer, no heartbeat — default runs stay byte-identical.
   std::string metrics_path;  ///< --metrics: JSONL snapshot file ("" = off)
   bool progress = false;     ///< --progress: stderr heartbeat with ETA
 };
+
+// The checked scalar parsers every number on the command line goes
+// through: "--messages foo" or "--threads 4x" must exit loudly, never
+// silently become 0 (the historical atoi behavior) or 4.
+
+double parse_double_or_die(const std::string& tok, const std::string& what) {
+  char* end = nullptr;
+  errno = 0;
+  const double v = std::strtod(tok.c_str(), &end);
+  // Finite only: overflow ("1e999" -> HUGE_VAL with ERANGE) and explicit
+  // inf/nan spellings are never meaningful values for these flags.
+  if (tok.empty() || end == tok.c_str() || *end != '\0' || errno == ERANGE ||
+      !std::isfinite(v))
+    usage("bad " + what + " (want a finite number)");
+  return v;
+}
+
+std::uint32_t parse_u32_or_die(const std::string& tok,
+                               const std::string& what) {
+  char* end = nullptr;
+  const unsigned long long v = std::strtoull(tok.c_str(), &end, 10);
+  if (tok.empty() || !std::isdigit(static_cast<unsigned char>(tok[0])) ||
+      *end != '\0' || v > 0xFFFFFFFFull)
+    usage("bad " + what + " (want an unsigned 32-bit integer)");
+  return static_cast<std::uint32_t>(v);
+}
+
+std::uint64_t parse_u64_or_die(const std::string& tok,
+                               const std::string& what) {
+  char* end = nullptr;
+  errno = 0;
+  const unsigned long long v = std::strtoull(tok.c_str(), &end, 10);
+  if (tok.empty() || !std::isdigit(static_cast<unsigned char>(tok[0])) ||
+      *end != '\0' || errno == ERANGE)
+    usage("bad " + what + " (want an unsigned 64-bit integer)");
+  return static_cast<std::uint64_t>(v);
+}
+
+std::vector<std::string> split_on(const std::string& s, char delim) {
+  std::vector<std::string> out;
+  std::size_t pos = 0;
+  while (pos <= s.size()) {
+    const auto at = s.find(delim, pos);
+    const std::string tok =
+        s.substr(pos, at == std::string::npos ? at : at - pos);
+    if (tok.empty()) usage("empty element in delimited list");
+    out.push_back(tok);
+    if (at == std::string::npos) break;
+    pos = at + 1;
+  }
+  return out;
+}
+
+/// One value handed to a flag's parser: the text and the flag's spelling,
+/// so the checked parses name the flag in their diagnostics.
+struct arg {
+  const std::string& text;
+  const char* flag;
+
+  [[nodiscard]] std::uint32_t u32() const {
+    return parse_u32_or_die(text, flag);
+  }
+  [[nodiscard]] std::uint64_t u64() const {
+    return parse_u64_or_die(text, flag);
+  }
+  [[nodiscard]] double real() const { return parse_double_or_die(text, flag); }
+  /// u32() that must be at least `min`.
+  [[nodiscard]] std::uint32_t u32_at_least(std::uint32_t min) const {
+    const std::uint32_t v = u32();
+    if (v < min)
+      fail(min == 1 ? "must be > 0" : "must be >= " + std::to_string(min));
+    return v;
+  }
+  [[noreturn]] void fail(const std::string& why) const {
+    usage(std::string(flag) + " " + why);
+  }
+};
+
+/// Path lengths are whole unsigned integers, and each family's shape is
+/// checked before the distribution is built, so a bad spec is a usage
+/// error rather than a library precondition failure.
+path_length_distribution parse_dist(const std::string& spec) {
+  const auto colon = spec.find(':');
+  if (colon == std::string::npos) usage("bad --dist (missing ':')");
+  const std::string kind = spec.substr(0, colon);
+  const auto v = split_on(spec.substr(colon + 1), ',');
+  const auto len = [&v](std::size_t i) {
+    return parse_u32_or_die(v[i], "--dist path length");
+  };
+  const auto real = [&v](std::size_t i) {
+    return parse_double_or_die(v[i], "--dist parameter");
+  };
+  if (kind == "F" && v.size() == 1)
+    return path_length_distribution::fixed(len(0));
+  if (kind == "U" && v.size() == 2) {
+    const path_length a = len(0), b = len(1);
+    if (a > b) usage("--dist U:a,b needs a <= b");
+    return path_length_distribution::uniform(a, b);
+  }
+  if (kind == "G" && v.size() == 3) {
+    const double pf = real(0);
+    const path_length lo = len(1), hi = len(2);
+    if (!(pf >= 0.0 && pf < 1.0) || lo > hi)
+      usage("--dist G:pf,min,max needs 0 <= pf < 1 and min <= max");
+    return path_length_distribution::geometric(pf, lo, hi);
+  }
+  if (kind == "P" && v.size() == 2) {
+    // exp(-lambda) is the first unnormalised weight; once it underflows to
+    // zero (lambda above ~745) the truncated pmf cannot be normalised.
+    const double lambda = real(0);
+    if (!(lambda > 0.0) || std::exp(-lambda) == 0.0)
+      usage("--dist P:lambda,max needs lambda > 0 with exp(-lambda) > 0");
+    return path_length_distribution::poisson(lambda, len(1));
+  }
+  usage("unrecognized --dist form");
+}
+
+routing_mode parse_mode(const std::string& spec) {
+  if (spec == "onion" || spec == "source_routed")
+    return routing_mode::source_routed;
+  if (spec == "crowds" || spec == "hop_by_hop") return routing_mode::hop_by_hop;
+  usage("--mode values are onion|crowds");
+}
 
 sim::adversary_config parse_adversary(const std::string& spec) {
   sim::adversary_config cfg;
@@ -283,21 +321,17 @@ sim::adversary_config parse_adversary(const std::string& spec) {
     cfg.kind = sim::adversary_kind::partial_coverage;
     if (spec.size() == 7) return cfg;  // bare "partial": f = 1
     if (spec[7] != ':') usage("bad --adversary (want partial:<f>[:honest])");
-    const auto honest = spec.find(":honest");
-    const std::string f = spec.substr(8, honest == std::string::npos
-                                             ? honest
-                                             : honest - 8);
-    char* end = nullptr;
-    cfg.coverage_fraction = std::strtod(f.c_str(), &end);
-    if (end == f.c_str() || *end != '\0' || !cfg.valid())
-      usage("bad --adversary coverage fraction");
-    cfg.receiver_compromised = honest == std::string::npos;
+    const auto args = split_on(spec.substr(8), ':');
+    if (args.size() > 2 || (args.size() == 2 && args[1] != "honest"))
+      usage("bad --adversary (want partial:<f>[:honest])");
+    cfg.coverage_fraction =
+        parse_double_or_die(args[0], "--adversary coverage fraction");
+    if (!cfg.valid()) usage("bad --adversary coverage fraction");
+    cfg.receiver_compromised = args.size() == 1;
     return cfg;
   }
   usage("--adversary values are full|partial:<f>[:honest]|timing");
 }
-
-std::vector<std::string> split_on(const std::string& s, char delim);
 
 net::topology_config parse_topology(const std::string& spec) {
   net::topology_config cfg;
@@ -306,13 +340,8 @@ net::topology_config parse_topology(const std::string& spec) {
   std::vector<std::string> args;
   if (colon != std::string::npos)
     args = split_on(spec.substr(colon + 1), ':');
-  auto as_u32 = [](const std::string& tok) {
-    char* end = nullptr;
-    const unsigned long long v = std::strtoull(tok.c_str(), &end, 10);
-    if (tok.empty() || tok[0] == '-' || end == tok.c_str() || *end != '\0' ||
-        v > 0xFFFFFFFFull)
-      usage("bad --topology parameter (want an unsigned integer)");
-    return static_cast<std::uint32_t>(v);
+  const auto as_u32 = [](const std::string& tok) {
+    return parse_u32_or_die(tok, "--topology parameter");
   };
   if (kind == "complete" && args.empty()) return cfg;
   if (kind == "ring" && args.size() == 1) {
@@ -324,17 +353,10 @@ net::topology_config parse_topology(const std::string& spec) {
   if (kind == "regular" && (args.size() == 1 || args.size() == 2)) {
     cfg.kind = net::topology_kind::random_regular;
     cfg.degree = as_u32(args[0]);
-    if (args.size() == 2) {
-      // The wiring seed is a full 64-bit value (matches graph_seed and the
-      // trace format), unlike the 32-bit structural parameters.
-      char* end = nullptr;
-      const std::string& tok = args[1];
-      errno = 0;
-      cfg.graph_seed = std::strtoull(tok.c_str(), &end, 10);
-      if (tok.empty() || tok[0] == '-' || end == tok.c_str() ||
-          *end != '\0' || errno == ERANGE)
-        usage("bad --topology regular seed (want a 64-bit unsigned integer)");
-    }
+    // The wiring seed is a full 64-bit value (matches graph_seed and the
+    // trace format), unlike the 32-bit structural parameters.
+    if (args.size() == 2)
+      cfg.graph_seed = parse_u64_or_die(args[1], "--topology regular seed");
     if (cfg.degree < 2) usage("--topology regular:<d> needs d >= 2");
     return cfg;
   }
@@ -346,10 +368,8 @@ net::topology_config parse_topology(const std::string& spec) {
   }
   if (kind == "trust" && args.size() == 1) {
     cfg.kind = net::topology_kind::trust_weighted;
-    char* end = nullptr;
-    cfg.trust_decay = std::strtod(args[0].c_str(), &end);
-    if (end == args[0].c_str() || *end != '\0' || cfg.trust_decay <= 0.0 ||
-        cfg.trust_decay > 1.0)
+    cfg.trust_decay = parse_double_or_die(args[0], "--topology trust decay");
+    if (cfg.trust_decay <= 0.0 || cfg.trust_decay > 1.0)
       usage("--topology trust:<decay> needs decay in (0, 1]");
     return cfg;
   }
@@ -358,19 +378,17 @@ net::topology_config parse_topology(const std::string& spec) {
       "complete|ring:<k>|regular:<d>[:<seed>]|tiered:<t>|trust:<decay>");
 }
 
-workload::popularity_law parse_law(const std::string& spec) {
+workload::popularity_law parse_law(const arg& a) {
   workload::popularity_law law;
-  if (spec == "uniform") return law;
-  if (spec.rfind("zipf:", 0) == 0) {
+  if (a.text == "uniform") return law;
+  if (a.text.rfind("zipf:", 0) == 0) {
     law.kind = workload::popularity_kind::zipf;
-    const std::string s = spec.substr(5);
-    char* end = nullptr;
-    law.exponent = std::strtod(s.c_str(), &end);
-    if (end == s.c_str() || *end != '\0' || !law.valid())
-      usage("bad popularity law (want zipf:<s> with s > 0)");
+    law.exponent = parse_double_or_die(a.text.substr(5),
+                                       std::string(a.flag) + " exponent");
+    if (!law.valid()) a.fail("wants zipf:<s> with s > 0");
     return law;
   }
-  usage("popularity-law values are uniform|zipf:<s>");
+  a.fail("values are uniform|zipf:<s>");
 }
 
 attack::attack_kind parse_attack(const std::string& spec) {
@@ -379,55 +397,25 @@ attack::attack_kind parse_attack(const std::string& spec) {
   return *kind;
 }
 
+workload::stream_backend parse_stream(const std::string& spec) {
+  const auto backend = workload::parse_stream_backend(spec);
+  if (!backend) usage("--stream values are exact|sketch");
+  return *backend;
+}
+
 net::churn_config parse_churn(const std::string& spec) {
   net::churn_config cfg;
   const auto colon = spec.find(':');
-  const std::string rate = spec.substr(0, colon);
-  char* end = nullptr;
-  cfg.down_rate = std::strtod(rate.c_str(), &end);
-  if (end == rate.c_str() || *end != '\0' || cfg.down_rate < 0.0)
+  cfg.down_rate = parse_double_or_die(spec.substr(0, colon), "--churn rate");
+  if (cfg.down_rate < 0.0)
     usage("bad --churn (want 0 or <down_rate>[:<mean_downtime>])");
   if (colon != std::string::npos) {
-    const std::string mean = spec.substr(colon + 1);
-    cfg.mean_downtime = std::strtod(mean.c_str(), &end);
-    if (end == mean.c_str() || *end != '\0' || cfg.mean_downtime <= 0.0)
-      usage("--churn mean downtime must be > 0");
+    cfg.mean_downtime =
+        parse_double_or_die(spec.substr(colon + 1), "--churn mean downtime");
+    if (cfg.mean_downtime <= 0.0) usage("--churn mean downtime must be > 0");
   }
   if (!cfg.valid()) usage("--churn parameters out of range");
   return cfg;
-}
-
-double parse_double_or_die(const std::string& tok, const char* what) {
-  char* end = nullptr;
-  errno = 0;
-  const double v = std::strtod(tok.c_str(), &end);
-  // Finite only: overflow ("1e999" -> HUGE_VAL with ERANGE) and explicit
-  // inf/nan spellings are never meaningful values for these flags.
-  if (tok.empty() || end == tok.c_str() || *end != '\0' || errno == ERANGE ||
-      !std::isfinite(v))
-    usage((std::string("bad ") + what + " (want a finite number)").c_str());
-  return v;
-}
-
-std::uint32_t parse_u32_or_die(const std::string& tok, const char* what) {
-  char* end = nullptr;
-  const unsigned long long v = std::strtoull(tok.c_str(), &end, 10);
-  if (tok.empty() || tok[0] == '-' || end == tok.c_str() || *end != '\0' ||
-      v > 0xFFFFFFFFull)
-    usage((std::string("bad ") + what +
-           " (want an unsigned 32-bit integer)").c_str());
-  return static_cast<std::uint32_t>(v);
-}
-
-std::uint64_t parse_u64_or_die(const std::string& tok, const char* what) {
-  char* end = nullptr;
-  errno = 0;
-  const unsigned long long v = std::strtoull(tok.c_str(), &end, 10);
-  if (tok.empty() || tok[0] == '-' || end == tok.c_str() || *end != '\0' ||
-      errno == ERANGE)
-    usage((std::string("bad ") + what +
-           " (want an unsigned 64-bit integer)").c_str());
-  return static_cast<std::uint64_t>(v);
 }
 
 /// "--shard i/n": i in [0, n), n >= 1. Everything else exits loudly.
@@ -439,7 +427,6 @@ void parse_shard(const std::string& spec, options& opt) {
   opt.shard_count = parse_u32_or_die(spec.substr(slash + 1), "--shard count");
   if (opt.shard_count == 0 || opt.shard_index >= opt.shard_count)
     usage("--shard index must be in [0, count) with count >= 1");
-  opt.shard_set = true;
 }
 
 net::routing_config parse_routing(const std::string& spec) {
@@ -502,331 +489,6 @@ net::outage parse_crash(const std::string& spec) {
   return o;
 }
 
-std::vector<std::string> split_on(const std::string& s, char delim) {
-  std::vector<std::string> out;
-  std::size_t pos = 0;
-  while (pos <= s.size()) {
-    const auto at = s.find(delim, pos);
-    const std::string tok =
-        s.substr(pos, at == std::string::npos ? at : at - pos);
-    if (tok.empty()) usage("empty element in delimited list");
-    out.push_back(tok);
-    if (at == std::string::npos) break;
-    pos = at + 1;
-  }
-  return out;
-}
-
-std::vector<std::string> split_commas(const std::string& s) {
-  return split_on(s, ',');
-}
-
-std::vector<double> parse_double_list(const char* spec) {
-  std::vector<double> out;
-  for (const std::string& tok : split_commas(spec)) {
-    char* end = nullptr;
-    out.push_back(std::strtod(tok.c_str(), &end));
-    if (end == tok.c_str() || *end != '\0')
-      usage("expected a number in comma list");
-  }
-  return out;
-}
-
-std::vector<std::uint32_t> parse_u32_list(const char* spec) {
-  std::vector<std::uint32_t> out;
-  for (const std::string& tok : split_commas(spec)) {
-    char* end = nullptr;
-    const unsigned long long v = std::strtoull(tok.c_str(), &end, 10);
-    if (tok[0] == '-' || end == tok.c_str() || *end != '\0' ||
-        v > 0xFFFFFFFFull)
-      usage("expected a 32-bit unsigned integer in comma list");
-    out.push_back(static_cast<std::uint32_t>(v));
-  }
-  return out;
-}
-
-options parse(int argc, char** argv) {
-  if (argc < 2) usage();
-  options opt;
-  opt.command = argv[1];
-  for (int i = 2; i < argc; ++i) {
-    const std::string flag = argv[i];
-    auto next = [&]() -> const char* {
-      if (i + 1 >= argc) usage("missing value for flag");
-      return argv[++i];
-    };
-    if (flag == "--n") {
-      opt.n_list = parse_u32_list(next());
-      opt.n = opt.n_list.front();
-    }
-    else if (flag == "--c") {
-      opt.c_list = parse_u32_list(next());
-      opt.c = opt.c_list.front();
-    }
-    else if (flag == "--dist") {
-      opt.dist = parse_dist(next());
-      opt.dist_list.push_back(*opt.dist);
-    }
-    // The scalar numeric flags all go through the checked end-pointer
-    // parsers: "--messages foo" or "--threads 4x" must exit loudly, never
-    // silently become 0 (the historical atoi behavior) or 4.
-    else if (flag == "--mean") opt.mean = parse_double_or_die(next(), "--mean");
-    else if (flag == "--messages") {
-      opt.messages = parse_u32_or_die(next(), "--messages");
-      if (opt.messages == 0) usage("--messages must be > 0");
-      opt.messages_set = true;
-    }
-    else if (flag == "--seed") opt.seed = parse_u64_or_die(next(), "--seed");
-    else if (flag == "--drop") {
-      opt.drop_list = parse_double_list(next());
-      opt.drop = opt.drop_list.front();
-    }
-    else if (flag == "--rate") opt.rate_list = parse_double_list(next());
-    else if (flag == "--mode") {
-      for (const std::string& tok : split_commas(next())) {
-        if (tok == "onion" || tok == "source_routed")
-          opt.mode_list.push_back(routing_mode::source_routed);
-        else if (tok == "crowds" || tok == "hop_by_hop")
-          opt.mode_list.push_back(routing_mode::hop_by_hop);
-        else usage("--mode values are onion|crowds");
-      }
-    }
-    else if (flag == "--adversary") {
-      for (const std::string& tok : split_commas(next()))
-        opt.adversary_list.push_back(parse_adversary(tok));
-    }
-    else if (flag == "--topology") {
-      for (const std::string& tok : split_commas(next()))
-        opt.topology_list.push_back(parse_topology(tok));
-    }
-    else if (flag == "--churn") {
-      for (const std::string& tok : split_commas(next()))
-        opt.churn_list.push_back(parse_churn(tok));
-    }
-    else if (flag == "--retry") {
-      for (const std::string& tok : split_commas(next()))
-        opt.retry_list.push_back(parse_retry(tok));
-    }
-    else if (flag == "--mix-failures") {
-      for (const std::string& tok : split_commas(next()))
-        opt.mixfail_list.push_back(parse_mixfail(tok));
-    }
-    else if (flag == "--crash") {
-      for (const std::string& tok : split_commas(next()))
-        opt.crash_list.push_back(parse_crash(tok));
-    }
-    else if (flag == "--checkpoint") opt.checkpoint_path = next();
-    else if (flag == "--resume") opt.resume = true;
-    else if (flag == "--shard") parse_shard(next(), opt);
-    else if (flag == "--input") opt.input_paths.emplace_back(next());
-    else if (flag == "--population")
-      opt.population_list = parse_u32_list(next());
-    else if (flag == "--rounds") opt.rounds_list = parse_u32_list(next());
-    else if (flag == "--attack") {
-      for (const std::string& tok : split_commas(next()))
-        opt.attack_list.push_back(parse_attack(tok));
-    }
-    else if (flag == "--stream") {
-      for (const std::string& tok : split_commas(next())) {
-        const auto backend = workload::parse_stream_backend(tok);
-        if (!backend) usage("--stream values are exact|sketch");
-        opt.stream_list.push_back(*backend);
-      }
-    }
-    else if (flag == "--users") {
-      const auto v = parse_u32_list(next());
-      if (v.size() != 1 || v[0] < 2) usage("--users wants one value >= 2");
-      opt.users = v[0];
-      opt.workload_flag_set = true;
-    }
-    else if (flag == "--pairs") {
-      const auto v = parse_u32_list(next());
-      if (v.size() != 1 || v[0] < 1) usage("--pairs wants one value >= 1");
-      opt.pairs = v[0];
-      opt.workload_flag_set = true;
-    }
-    else if (flag == "--round-size") {
-      const auto v = parse_u32_list(next());
-      if (v.size() != 1 || v[0] < 1) usage("--round-size wants one value >= 1");
-      opt.round_size = v[0];
-      opt.workload_flag_set = true;
-    }
-    else if (flag == "--send-rate") {
-      char* end = nullptr;
-      const char* v = next();
-      opt.send_rate = std::strtod(v, &end);
-      if (end == v || *end != '\0' || opt.send_rate < 0.0 ||
-          opt.send_rate > 1.0)
-        usage("--send-rate must be in [0, 1]");
-      opt.workload_flag_set = true;
-    }
-    else if (flag == "--sender-law") {
-      opt.sender_law = parse_law(next());
-      opt.sender_law_set = true;
-    }
-    else if (flag == "--receiver-law") {
-      opt.receiver_law = parse_law(next());
-      opt.receiver_law_set = true;
-    }
-    else if (flag == "--every") {
-      const auto v = parse_u32_list(next());
-      if (v.size() != 1 || v[0] < 1) usage("--every wants one value >= 1");
-      opt.every = v[0];
-      opt.workload_flag_set = true;
-    }
-    else if (flag == "--threshold") {
-      char* end = nullptr;
-      const char* v = next();
-      opt.threshold = std::strtod(v, &end);
-      if (end == v || *end != '\0') usage("--threshold must be a number");
-    }
-    else if (flag == "--via-trace") opt.via_trace = true;
-    else if (flag == "--out") opt.out_path = next();
-    else if (flag == "--in") opt.in_path = next();
-    else if (flag == "--replicas") {
-      opt.replicas = parse_u32_or_die(next(), "--replicas");
-      if (opt.replicas == 0) usage("--replicas must be > 0");
-      opt.replicas_set = true;
-    }
-    else if (flag == "--breakdown") opt.breakdown = true;
-    else if (flag == "--samples") {
-      opt.samples = parse_u64_or_die(next(), "--samples");
-      if (opt.samples == 0) usage("--samples must be > 0");
-    }
-    else if (flag == "--threads")
-      opt.threads = parse_u32_or_die(next(), "--threads");
-    else if (flag == "--shards")
-      opt.shards = parse_u64_or_die(next(), "--shards");
-    else if (flag == "--no-dedup") opt.dedup = false;
-    else if (flag == "--routing") {
-      for (const std::string& tok : split_commas(next()))
-        opt.routing_list.push_back(parse_routing(tok));
-    }
-    else if (flag == "--csr") {
-      opt.plan_csr = true;
-      opt.plan_flag_set = true;
-    }
-    else if (flag == "--components") {
-      opt.plan_components = true;
-      opt.plan_flag_set = true;
-    }
-    else if (flag == "--source") {
-      opt.plan_source = parse_u32_or_die(next(), "--source");
-      opt.plan_flag_set = true;
-    }
-    else if (flag == "--routes") {
-      opt.plan_routes = parse_u32_or_die(next(), "--routes");
-      if (opt.plan_routes == 0) usage("--routes must be > 0");
-      opt.plan_flag_set = true;
-    }
-    else if (flag == "--metrics") {
-      opt.metrics_path = next();
-      if (opt.metrics_path.empty()) usage("--metrics wants a file path");
-    }
-    else if (flag.rfind("--metrics=", 0) == 0) {
-      opt.metrics_path = flag.substr(std::strlen("--metrics="));
-      if (opt.metrics_path.empty()) usage("--metrics wants a file path");
-    }
-    else if (flag == "--progress") opt.progress = true;
-    else usage(("unknown flag " + flag).c_str());
-  }
-  return opt;
-}
-
-/// The closed-form analytic commands are clique-only; accepting a
-/// restricted graph (or churn) and silently reporting clique numbers is
-/// exactly the fallback the topology surface promises never to do.
-void reject_topology_flags(const options& opt, const char* command) {
-  if (!opt.topology_list.empty() &&
-      opt.topology_list.front().kind != net::topology_kind::complete)
-    usage((std::string("--topology does not apply to '") + command +
-           "' (clique-only closed forms); use estimate/simulate/campaign")
-              .c_str());
-  if (!opt.churn_list.empty() && opt.churn_list.front().enabled())
-    usage((std::string("--churn does not apply to '") + command +
-           "'; use simulate/capture/campaign")
-              .c_str());
-  if (!opt.routing_list.empty())
-    usage((std::string("--routing does not apply to '") + command +
-           "'; use simulate/capture/campaign/plan")
-              .c_str());
-}
-
-/// The graph-diagnostics surface belongs to 'plan'; anywhere else these
-/// flags would be silently ignored — the fallback this CLI promises never
-/// to do.
-void reject_plan_flags(const options& opt, const char* command) {
-  if (opt.plan_flag_set)
-    usage((std::string("--csr/--components/--source/--routes do not apply "
-                       "to '") +
-           command + "'; they drive the 'plan' command")
-              .c_str());
-}
-
-/// Commands with no longitudinal surface must reject the session/attack
-/// flags loudly, mirroring reject_topology_flags — silently dropping a
-/// sweep axis is exactly the fallback this CLI promises never to do.
-void reject_session_flags(const options& opt, const char* command) {
-  if (!opt.population_list.empty() || !opt.rounds_list.empty() ||
-      !opt.attack_list.empty())
-    usage((std::string("--population/--rounds/--attack do not apply to '") +
-           command + "'; use simulate/capture/campaign or the 'attack' "
-                     "command")
-              .c_str());
-  if (!opt.stream_list.empty())
-    usage((std::string("--stream does not apply to '") + command +
-           "'; it selects the disclosure accumulator backend on "
-           "simulate/capture/campaign/attack")
-              .c_str());
-  if (opt.sender_law_set)
-    usage((std::string("--sender-law does not apply to '") + command +
-           "'; only the 'attack' workload draws senders from a law")
-              .c_str());
-  if (opt.receiver_law_set)
-    usage((std::string("--receiver-law does not apply to '") + command +
-           "'; use simulate/capture/campaign or the 'attack' command")
-              .c_str());
-  if (opt.workload_flag_set)
-    usage((std::string("--users/--pairs/--round-size/--send-rate/--every do "
-                       "not apply to '") +
-           command + "'; they configure the 'attack' workload")
-              .c_str());
-}
-
-/// The fault/recovery surface belongs to the simulator (and the campaign's
-/// journal); any other command accepting these flags would silently ignore
-/// them — the fallback this CLI promises never to do.
-void reject_fault_flags(const options& opt, const char* command) {
-  if (!opt.retry_list.empty() || !opt.mixfail_list.empty() ||
-      !opt.crash_list.empty())
-    usage((std::string("--retry/--mix-failures/--crash do not apply to '") +
-           command + "'; use simulate/capture/campaign")
-              .c_str());
-  if (!opt.checkpoint_path.empty() || opt.resume)
-    usage((std::string("--checkpoint/--resume do not apply to '") + command +
-           "'; only 'campaign' and 'merge' touch journals")
-              .c_str());
-  if (opt.shard_set)
-    usage((std::string("--shard does not apply to '") + command +
-           "'; only 'campaign' splits its grid into shards")
-              .c_str());
-  if (!opt.input_paths.empty())
-    usage((std::string("--input does not apply to '") + command +
-           "'; it names the shard journals 'merge' combines")
-              .c_str());
-}
-
-/// The observability surface instruments the long-running commands
-/// (simulate/campaign/attack/plan/merge); anywhere else --metrics would
-/// write an empty snapshot and --progress would stay silent — accepting
-/// them there is exactly the silent drop this CLI promises never to do.
-void reject_obs_flags(const options& opt, const char* command) {
-  if (!opt.metrics_path.empty() || opt.progress)
-    usage((std::string("--metrics/--progress do not apply to '") + command +
-           "'; they instrument simulate/campaign/attack/plan/merge")
-              .c_str());
-}
-
 /// Folds one run's deterministic report telemetry into the registry under
 /// the catalogued metric names (README "Observability") — the same names
 /// run_campaign records per replica, so a one-cell campaign and a simulate
@@ -843,11 +505,6 @@ void harvest_report(obs::metrics_registry& reg, const sim::sim_report& r) {
 }
 
 int cmd_degree(const options& opt) {
-  reject_topology_flags(opt, "degree");
-  reject_session_flags(opt, "degree");
-  reject_fault_flags(opt, "degree");
-  reject_plan_flags(opt, "degree");
-  reject_obs_flags(opt, "degree");
   const system_params sys{opt.n, 1};
   const auto d = opt.dist.value_or(path_length_distribution::fixed(3));
   const double h = anonymity_degree(sys, d);
@@ -870,15 +527,6 @@ int cmd_degree(const options& opt) {
 }
 
 int cmd_estimate(const options& opt) {
-  reject_session_flags(opt, "estimate");
-  reject_fault_flags(opt, "estimate");
-  reject_plan_flags(opt, "estimate");
-  reject_obs_flags(opt, "estimate");
-  if (!opt.churn_list.empty() && opt.churn_list.front().enabled())
-    usage("--churn does not apply to 'estimate'; use simulate/capture/campaign");
-  if (!opt.routing_list.empty())
-    usage("--routing does not apply to 'estimate' (walk-model engine only); "
-          "use simulate/capture/campaign/plan");
   const system_params sys{opt.n, opt.c};
   const auto d = opt.dist.value_or(path_length_distribution::uniform(1, 10));
   const std::vector<node_id> compromised = spread_compromised(opt.n, opt.c);
@@ -936,11 +584,6 @@ int cmd_estimate(const options& opt) {
 }
 
 int cmd_optimize(const options& opt) {
-  reject_topology_flags(opt, "optimize");
-  reject_session_flags(opt, "optimize");
-  reject_fault_flags(opt, "optimize");
-  reject_plan_flags(opt, "optimize");
-  reject_obs_flags(opt, "optimize");
   const system_params sys{opt.n, 1};
   const auto cap = static_cast<path_length>(opt.n - 1);
   const auto r = optimize_for_mean(sys, opt.mean, cap);
@@ -953,25 +596,6 @@ int cmd_optimize(const options& opt) {
 }
 
 sim::sim_config simulate_config(const options& opt) {
-  if (opt.sender_law_set)
-    usage("--sender-law only applies to the 'attack' command (simulator "
-          "senders are the N nodes, drawn uniformly)");
-  if (opt.workload_flag_set)
-    usage("--users/--pairs/--round-size/--send-rate/--every configure the "
-          "'attack' workload; simulator sessions batch --messages into "
-          "--rounds");
-  reject_plan_flags(opt, "simulate/capture");
-  // One run, one config: a comma list would run only its first value and
-  // the campaign-only knobs would be dropped — refuse both loudly.
-  if (opt.n_list.size() > 1 || opt.c_list.size() > 1 ||
-      opt.dist_list.size() > 1 || opt.drop_list.size() > 1 ||
-      opt.adversary_list.size() > 1 || opt.topology_list.size() > 1 ||
-      opt.churn_list.size() > 1)
-    usage("simulate/capture take single --n/--c/--dist/--drop/--adversary/"
-          "--topology/--churn values (comma-list axes belong to 'campaign')");
-  if (!opt.rate_list.empty() || opt.replicas_set)
-    usage("--rate and --replicas drive 'campaign'; simulate/capture run one "
-          "replica at the default arrival rate");
   sim::sim_config cfg;
   cfg.sys = {opt.n, opt.c};
   cfg.compromised = spread_compromised(opt.n, opt.c);
@@ -979,26 +603,12 @@ sim::sim_config simulate_config(const options& opt) {
   if (opt.n >= 1 && cfg.lengths.max_length() > opt.n - 1)
     usage("--dist reaches beyond N-1 hops: a simple path in an --n node "
           "network has at most N-1 intermediates");
-  if (!opt.mode_list.empty()) {
-    if (opt.mode_list.size() > 1)
-      usage("simulate/capture take a single --mode (the comma-list axis "
-            "belongs to 'campaign')");
-    cfg.mode = opt.mode_list.front();
-  }
-  if (!opt.checkpoint_path.empty() || opt.resume || opt.shard_set ||
-      !opt.input_paths.empty())
-    usage("--checkpoint/--resume/--shard/--input do not apply to "
-          "simulate/capture; they drive 'campaign' and 'merge'");
+  if (!opt.mode_list.empty()) cfg.mode = opt.mode_list.front();
   cfg.message_count = opt.messages;
   cfg.seed = opt.seed;
   if (!(opt.drop >= 0.0 && opt.drop < 1.0))
     usage("--drop must be in [0, 1)");
   cfg.faults.drop_probability = opt.drop;
-  // Single scalars, like --mode: a comma list here would silently run only
-  // its first value (the axes belong to 'campaign').
-  if (opt.retry_list.size() > 1 || opt.mixfail_list.size() > 1)
-    usage("simulate/capture take single --retry/--mix-failures values "
-          "(comma-list axes belong to 'campaign')");
   if (!opt.retry_list.empty()) cfg.retry = opt.retry_list.front();
   if (!opt.mixfail_list.empty())
     cfg.faults.mix_failures = opt.mixfail_list.front();
@@ -1017,9 +627,6 @@ sim::sim_config simulate_config(const options& opt) {
       usage("--adversary timing is not supported on a restricted --topology");
   }
   if (!opt.churn_list.empty()) cfg.faults.churn = opt.churn_list.front();
-  if (opt.routing_list.size() > 1)
-    usage("simulate/capture take a single --routing (the comma-list axis "
-          "belongs to 'campaign')");
   if (!opt.routing_list.empty()) {
     cfg.routing = opt.routing_list.front();
     if (cfg.routing.planned()) {
@@ -1030,13 +637,6 @@ sim::sim_config simulate_config(const options& opt) {
         usage("--adversary timing is not supported with --routing kpaths");
     }
   }
-  // Single scalars here; a comma list would otherwise run only its first
-  // value — a silent drop (the axes belong to 'campaign').
-  if (opt.population_list.size() > 1 || opt.rounds_list.size() > 1 ||
-      opt.attack_list.size() > 1 || opt.stream_list.size() > 1)
-    usage("simulate/capture take single values for "
-          "--population/--rounds/--attack/--stream (comma-list axes belong "
-          "to 'campaign')");
   const std::uint32_t population =
       opt.population_list.empty() ? 0 : opt.population_list.front();
   const std::uint32_t rounds =
@@ -1140,7 +740,6 @@ int cmd_simulate(const options& opt) {
 }
 
 int cmd_capture(const options& opt) {
-  reject_obs_flags(opt, "capture");
   const sim::sim_config cfg = simulate_config(opt);
   const sim::sim_trace trace = sim::capture_trace(cfg);
   if (opt.out_path.empty()) {
@@ -1165,13 +764,6 @@ int cmd_capture(const options& opt) {
 int cmd_replay(const options& opt) {
   // Replay's run (session and fault plan included) is defined entirely by
   // the trace.
-  reject_session_flags(opt, "replay");
-  reject_fault_flags(opt, "replay");
-  reject_plan_flags(opt, "replay");
-  reject_obs_flags(opt, "replay");
-  if (!opt.routing_list.empty())
-    usage("--routing does not apply to 'replay' (the trace defines the "
-          "run's routing)");
   if (opt.in_path.empty()) usage("replay requires --in <trace file>");
   std::ifstream in(opt.in_path, std::ios::binary);
   if (!in.good()) usage("cannot open --in file");
@@ -1185,22 +777,12 @@ int cmd_replay(const options& opt) {
 /// it, whole or as one shard) and 'merge' (which must reconstruct the
 /// IDENTICAL grid — same flags, same validation — to recompute the scope
 /// fingerprint the shard journals are checked against).
-sim::campaign_grid build_campaign_grid(const options& opt,
-                                       const char* command) {
-  if (opt.sender_law_set)
-    usage("--sender-law only applies to the 'attack' command (simulator "
-          "senders are the N nodes, drawn uniformly)");
+sim::campaign_grid build_campaign_grid(const options& opt) {
   if (opt.receiver_law_set && opt.population_list.empty() &&
       opt.rounds_list.empty())
-    usage((std::string("--receiver-law on '") + command +
-           "' needs session axes (--population/--rounds); it is the "
-           "session destination law")
-              .c_str());
-  if (opt.workload_flag_set)
-    usage("--users/--pairs/--round-size/--send-rate/--every configure the "
-          "'attack' workload; campaign sessions batch --messages into "
-          "--rounds");
-  reject_plan_flags(opt, command);
+    usage(std::string("--receiver-law on '") + opt.cmd->name +
+          "' needs session axes (--population/--rounds); it is the "
+          "session destination law");
   // Session axes must be swept together: a --population axis with no
   // --rounds axis (or vice versa) would make every session cell incoherent
   // and silently filter the sweep the user asked for down to its
@@ -1301,20 +883,17 @@ sim::campaign_config build_campaign_config(const options& opt) {
 }
 
 int cmd_campaign(const options& opt) {
-  if (!opt.input_paths.empty())
-    usage("--input belongs to 'merge'; 'campaign' writes one journal via "
-          "--checkpoint");
   obs::tracer tracer;
   obs::tracer* const tp = opt.metrics_path.empty() ? nullptr : &tracer;
   // Every phase nests under this one root, closed before the snapshot is
   // written: grid expansion, the cell runs, and the CSV rendering.
   std::optional<obs::span> root(std::in_place, tp, "campaign.run");
   std::optional<obs::span> grid_span(std::in_place, tp, "campaign.grid");
-  const sim::campaign_grid grid = build_campaign_grid(opt, "campaign");
+  const sim::campaign_grid grid = build_campaign_grid(opt);
   sim::campaign_config cfg = build_campaign_config(opt);
   if (opt.resume && opt.checkpoint_path.empty())
     usage("--resume requires --checkpoint <file>");
-  if (opt.shard_set) {
+  if (opt.shard_count != 0) {
     // The journal is a shard's only durable output (its CSV covers just
     // its own cells); running one without a checkpoint would leave
     // nothing for 'merge' to combine.
@@ -1395,17 +974,10 @@ int cmd_campaign(const options& opt) {
 int cmd_merge(const options& opt) {
   if (opt.input_paths.empty())
     usage("merge requires at least one --input <shard checkpoint>");
-  if (opt.shard_set)
-    usage("--shard does not apply to 'merge' (the journals declare their "
-          "own shard identities)");
-  if (opt.resume) usage("--resume does not apply to 'merge'");
-  if (opt.via_trace)
-    usage("--via-trace does not apply to 'merge' (nothing is re-run; it "
-          "only affects the scope fingerprint of the original campaign)");
   // The grid/config flags must repeat the sharded runs' flags exactly:
   // the scope fingerprint recomputed here is what authenticates the
   // shard journals as belonging to this campaign.
-  const sim::campaign_grid grid = build_campaign_grid(opt, "merge");
+  const sim::campaign_grid grid = build_campaign_grid(opt);
   const sim::campaign_config cfg = build_campaign_config(opt);
   obs::progress_meter progress("merge shards", opt.input_paths.size(),
                                opt.progress);
@@ -1456,28 +1028,6 @@ int cmd_merge(const options& opt) {
 }
 
 int cmd_attack(const options& opt) {
-  reject_topology_flags(opt, "attack");
-  reject_fault_flags(opt, "attack");
-  reject_plan_flags(opt, "attack");
-  // Axes are a campaign concept; here every flag is a single scalar, and a
-  // comma list would otherwise run only its first value — a silent drop.
-  if (opt.attack_list.size() > 1 || opt.population_list.size() > 1 ||
-      opt.rounds_list.size() > 1 || opt.stream_list.size() > 1)
-    usage("'attack' takes single values for "
-          "--attack/--population/--rounds/--stream (comma-list axes belong "
-          "to 'campaign')");
-  // Simulator-only flags have no meaning on the pure workload path; run
-  // the attack through 'simulate'/'campaign' sessions to combine them.
-  if (!opt.drop_list.empty() || opt.messages_set || !opt.dist_list.empty() ||
-      !opt.adversary_list.empty() || !opt.mode_list.empty() ||
-      !opt.rate_list.empty() || opt.via_trace || opt.replicas_set)
-    usage("--drop/--messages/--dist/--adversary/--mode/--rate/--via-trace/"
-          "--replicas do not apply to 'attack'; use simulate/campaign "
-          "session mode to combine the rerouting simulator with a "
-          "longitudinal attack");
-  if (!opt.n_list.empty() || !opt.c_list.empty())
-    usage("--n/--c do not apply to 'attack' (no rerouting network here); "
-          "the workload population is --users/--population");
   if (opt.attack_list.empty() ||
       opt.attack_list.front() == attack::attack_kind::none)
     usage("attack requires --attack intersection|sda|bayes");
@@ -1751,12 +1301,6 @@ int cmd_attack(const options& opt) {
 /// This is the CI smoke for million-node CSR construction and route
 /// planning; all timings go to stdout so regressions are visible in logs.
 int cmd_plan(const options& opt) {
-  reject_session_flags(opt, "plan");
-  reject_fault_flags(opt, "plan");
-  if (!opt.churn_list.empty() && opt.churn_list.front().enabled())
-    usage("--churn does not apply to 'plan' (static graph diagnostics)");
-  if (opt.routing_list.size() > 1)
-    usage("'plan' takes a single --routing value");
   if (opt.n < 2) usage("plan needs --n >= 2");
   if (opt.plan_source >= opt.n) usage("--source out of range for --n");
   net::topology_config topo_cfg;
@@ -1884,11 +1428,6 @@ int cmd_plan(const options& opt) {
 }
 
 int cmd_figures(const options& opt) {
-  reject_topology_flags(opt, "figures");
-  reject_session_flags(opt, "figures");
-  reject_fault_flags(opt, "figures");
-  reject_plan_flags(opt, "figures");
-  reject_obs_flags(opt, "figures");
   const system_params sys{opt.n, 1};
   repro::print_figure(repro::fig3a(sys), std::cout);
   repro::print_figure(repro::fig3b(sys), std::cout);
@@ -1902,19 +1441,336 @@ int cmd_figures(const options& opt) {
   return 0;
 }
 
-int run_command(const options& opt) {
-  if (opt.command == "degree") return cmd_degree(opt);
-  if (opt.command == "estimate") return cmd_estimate(opt);
-  if (opt.command == "optimize") return cmd_optimize(opt);
-  if (opt.command == "simulate") return cmd_simulate(opt);
-  if (opt.command == "campaign") return cmd_campaign(opt);
-  if (opt.command == "merge") return cmd_merge(opt);
-  if (opt.command == "capture") return cmd_capture(opt);
-  if (opt.command == "replay") return cmd_replay(opt);
-  if (opt.command == "attack") return cmd_attack(opt);
-  if (opt.command == "plan") return cmd_plan(opt);
-  if (opt.command == "figures") return cmd_figures(opt);
-  usage("unknown command");
+// ---- the command and flag tables ------------------------------------------
+
+/// One bit per command; a flag row names the commands that read it.
+enum : unsigned {
+  k_degree = 1u << 0,
+  k_estimate = 1u << 1,
+  k_optimize = 1u << 2,
+  k_simulate = 1u << 3,
+  k_campaign = 1u << 4,
+  k_merge = 1u << 5,
+  k_capture = 1u << 6,
+  k_replay = 1u << 7,
+  k_attack = 1u << 8,
+  k_plan = 1u << 9,
+  k_figures = 1u << 10,
+  k_grid = k_campaign | k_merge,    ///< axes take comma lists and repeat here
+  k_sim = k_simulate | k_capture | k_grid,  ///< the simulator's config
+  k_obs = k_simulate | k_campaign | k_merge | k_attack | k_plan,
+};
+
+const command k_commands[] = {
+    {"degree", k_degree, cmd_degree, "closed-form H* of a strategy, C = 1"},
+    {"estimate", k_estimate, cmd_estimate,
+     "Monte-Carlo H* for any C (walk model on a restricted graph)"},
+    {"optimize", k_optimize, cmd_optimize,
+     "optimal length distribution for a target mean"},
+    {"simulate", k_simulate, cmd_simulate,
+     "one discrete-event simulator run, scored"},
+    {"campaign", k_campaign, cmd_campaign,
+     "scenario-grid sweep on the simulator; CSV to stdout"},
+    {"merge", k_merge, cmd_merge,
+     "combine shard journals into the unsharded CSV (same grid flags)"},
+    {"capture", k_capture, cmd_capture,
+     "one simulator run, writing the adversary's event trace"},
+    {"replay", k_replay, cmd_replay,
+     "re-score a captured trace offline (same output as simulate)"},
+    {"attack", k_attack, cmd_attack,
+     "longitudinal disclosure attack on a population workload"},
+    {"plan", k_plan, cmd_plan,
+     "graph build and route-planning diagnostics at scale"},
+    {"figures", k_figures, cmd_figures, "dump the paper's figures as CSV"},
+};
+
+enum class shape { toggle, single, axis, multi };
+
+struct flag_row {
+  const char* name;
+  shape kind;
+  const char* value;  ///< the value's syntax ("" for a switch)
+  unsigned commands;  ///< the commands that read the flag
+  void (*apply)(options&, const arg&);
+  const char* help;
+  bool comma_list = true;     ///< axis/multi: a value is a comma list
+  bool inline_value = false;  ///< also spelled <name>=<value>
+};
+
+/// The apply of an axis row that only parses a value into its list.
+template <auto list, auto parse_value>
+void append(options& o, const arg& a) {
+  (o.*list).push_back(parse_value(a.text));
+}
+
+const flag_row k_flags[] = {
+    // Network and strategy.
+    {"--n", shape::axis, "<nodes>",
+     k_degree | k_estimate | k_optimize | k_sim | k_plan | k_figures,
+     [](options& o, const arg& a) { o.n_list.push_back(o.n = a.u32()); },
+     "node count N (default 100)"},
+    {"--c", shape::axis, "<compromised>", k_estimate | k_sim,
+     [](options& o, const arg& a) { o.c_list.push_back(o.c = a.u32()); },
+     "compromised node count C (default 1)"},
+    {"--dist", shape::axis, "F:l | U:a,b | G:pf,min,max | P:lambda,max",
+     k_degree | k_estimate | k_sim,
+     [](options& o, const arg& a) {
+       o.dist_list.push_back(*(o.dist = parse_dist(a.text)));
+     },
+     "path lengths: fixed, uniform, geometric, truncated Poisson", false},
+    {"--mean", shape::single, "<E[L]>", k_optimize,
+     [](options& o, const arg& a) { o.mean = a.real(); },
+     "target expected path length (default 5)"},
+    {"--mode", shape::axis, "onion | crowds", k_sim,
+     append<&options::mode_list, parse_mode>,
+     "source-routed onion or hop-by-hop crowds forwarding (default onion)"},
+    {"--adversary", shape::axis, "full | partial:<f>[:honest] | timing", k_sim,
+     append<&options::adversary_list, parse_adversary>,
+     "threat model (default full)"},
+    {"--topology", shape::axis,
+     "complete | ring:<k> | regular:<d>[:<seed>] | tiered:<t> | trust:<decay>",
+     k_estimate | k_sim | k_plan,
+     append<&options::topology_list, parse_topology>,
+     "network graph (default complete)"},
+    {"--routing", shape::axis, "walk | kpaths[:<k>]", k_sim | k_plan,
+     append<&options::routing_list, parse_routing>,
+     "random walk, or planned k-shortest paths (k in 1..64)"},
+    {"--churn", shape::axis, "0 | <down_rate>[:<mean_downtime>]", k_sim,
+     append<&options::churn_list, parse_churn>,
+     "node churn (default 0, static)"},
+    // Simulator runs.
+    {"--messages", shape::single, "<k>", k_sim,
+     [](options& o, const arg& a) {
+       o.messages = a.u32_at_least(1);
+       o.messages_set = true;
+     },
+     "messages per run (default 2000; campaign/merge 500)"},
+    {"--seed", shape::single, "<s>", k_estimate | k_sim | k_attack | k_plan,
+     [](options& o, const arg& a) { o.seed = a.u64(); },
+     "master seed (default 1)"},
+    {"--drop", shape::axis, "<p>", k_sim,
+     [](options& o, const arg& a) { o.drop_list.push_back(o.drop = a.real()); },
+     "link-loss probability in [0, 1) (default 0)"},
+    {"--rate", shape::axis, "<msgs/s>", k_grid,
+     [](options& o, const arg& a) { o.rate_list.push_back(a.real()); },
+     "Poisson message arrival rate, > 0 (default 50)"},
+    {"--retry", shape::axis, "<max>[:<timeout>[:<backoff>[:<max_timeout>]]]",
+     k_sim, append<&options::retry_list, parse_retry>,
+     "sender retransmission with capped backoff (default 0, off)"},
+    {"--mix-failures", shape::axis, "<count>[:<horizon>[:<mean_duration>]]",
+     k_sim, append<&options::mixfail_list, parse_mixfail>,
+     "seeded mix failures (default 0, off; horizon 0 = auto)"},
+    {"--crash", shape::multi, "<node>:<start>:<duration>", k_sim,
+     append<&options::crash_list, parse_crash>,
+     "an explicit node outage; a campaign applies it to every cell"},
+    {"--threshold", shape::single, "<x>", k_sim | k_attack,
+     [](options& o, const arg& a) {
+       o.threshold = a.real();
+       if (!(o.threshold >= 0.0 && o.threshold <= 1.0))
+         a.fail("must be in [0, 1]");
+     },
+     "posterior mass counted as identified (default 0.99; attack: (0, 1))"},
+    // Sessions and the attack workload.
+    {"--population", shape::axis, "<P>", k_sim | k_attack,
+     [](options& o, const arg& a) { o.population_list.push_back(a.u32()); },
+     "session receivers (0 = no session; attack: default the user count)"},
+    {"--rounds", shape::axis, "<R>", k_sim | k_attack,
+     [](options& o, const arg& a) { o.rounds_list.push_back(a.u32()); },
+     "session mix rounds (0 = no session; attack: default 200)"},
+    {"--attack", shape::axis, "none | intersection | sda | bayes",
+     k_sim | k_attack, append<&options::attack_list, parse_attack>,
+     "longitudinal disclosure attack"},
+    {"--stream", shape::axis, "exact | sketch", k_sim | k_attack,
+     append<&options::stream_list, parse_stream>,
+     "sda accumulator backend (attack: the online conformance report)"},
+    {"--receiver-law", shape::single, "uniform | zipf:<s>", k_sim | k_attack,
+     [](options& o, const arg& a) {
+       o.receiver_law = parse_law(a);
+       o.receiver_law_set = true;
+     },
+     "receiver popularity law (default uniform)"},
+    {"--sender-law", shape::single, "uniform | zipf:<s>", k_attack,
+     [](options& o, const arg& a) { o.sender_law = parse_law(a); },
+     "sender popularity law (default uniform)"},
+    {"--users", shape::single, "<U>", k_attack,
+     [](options& o, const arg& a) { o.users = a.u32_at_least(2); },
+     "sender population (default 1000)"},
+    {"--pairs", shape::single, "<M>", k_attack,
+     [](options& o, const arg& a) { o.pairs = a.u32_at_least(1); },
+     "persistent sender-receiver pairs (default 1)"},
+    {"--round-size", shape::single, "<B>", k_attack,
+     [](options& o, const arg& a) { o.round_size = a.u32_at_least(1); },
+     "threshold-mix batch size (default 32)"},
+    {"--send-rate", shape::single, "<p>", k_attack,
+     [](options& o, const arg& a) {
+       o.send_rate = a.real();
+       if (!(o.send_rate >= 0.0 && o.send_rate <= 1.0))
+         a.fail("must be in [0, 1]");
+     },
+     "per-round send probability of a pair (default 1)"},
+    {"--every", shape::single, "<k>", k_attack,
+     [](options& o, const arg& a) { o.every = a.u32_at_least(1); },
+     "trajectory stride in rounds (default rounds/100)"},
+    // Campaign execution.
+    {"--replicas", shape::single, "<r>", k_grid,
+     [](options& o, const arg& a) { o.replicas = a.u32_at_least(1); },
+     "replicas per cell (default 8)"},
+    {"--threads", shape::single, "<t>", k_estimate | k_campaign | k_attack,
+     [](options& o, const arg& a) { o.threads = a.u32(); },
+     "worker threads (default 0, all cores; attack: the sda cross-check)"},
+    {"--via-trace", shape::toggle, "", k_campaign,
+     [](options& o, const arg&) { o.via_trace = true; },
+     "score every run through a captured trace"},
+    {"--checkpoint", shape::single, "<file>", k_grid,
+     [](options& o, const arg& a) { o.checkpoint_path = a.text; },
+     "crash-resumable journal (merge: also write the merged journal)"},
+    {"--resume", shape::toggle, "", k_campaign,
+     [](options& o, const arg&) { o.resume = true; },
+     "adopt the journal's finished cells"},
+    {"--shard", shape::single, "<i>/<n>", k_campaign,
+     [](options& o, const arg& a) { parse_shard(a.text, o); },
+     "run only the cells with index = i mod n (needs a journal)"},
+    {"--input", shape::multi, "<file>", k_merge,
+     [](options& o, const arg& a) { o.input_paths.push_back(a.text); },
+     "a shard journal to combine (one per shard)", false},
+    // Trace capture and replay.
+    {"--out", shape::single, "<file>", k_capture,
+     [](options& o, const arg& a) { o.out_path = a.text; },
+     "trace destination (default stdout)"},
+    {"--in", shape::single, "<file>", k_replay,
+     [](options& o, const arg& a) { o.in_path = a.text; },
+     "the trace to re-score"},
+    // Analytic and Monte-Carlo engines.
+    {"--breakdown", shape::toggle, "", k_degree,
+     [](options& o, const arg&) { o.breakdown = true; },
+     "split H* by event class"},
+    {"--samples", shape::single, "<k>", k_estimate,
+     [](options& o, const arg& a) {
+       if ((o.samples = a.u64()) == 0) a.fail("must be > 0");
+     },
+     "Monte-Carlo samples (default 100000)"},
+    {"--shards", shape::single, "<k>", k_estimate,
+     [](options& o, const arg& a) { o.shards = a.u64(); },
+     "Monte-Carlo work shards (default 0, auto)"},
+    {"--no-dedup", shape::toggle, "", k_estimate,
+     [](options& o, const arg&) { o.dedup = false; },
+     "score every sample instead of each distinct observation once"},
+    // Route-planning diagnostics.
+    {"--csr", shape::toggle, "", k_plan,
+     [](options& o, const arg&) { o.plan_csr = true; }, "CSR graph storage"},
+    {"--components", shape::toggle, "", k_plan,
+     [](options& o, const arg&) { o.plan_components = true; },
+     "count connected components"},
+    {"--source", shape::single, "<u>", k_plan,
+     [](options& o, const arg& a) { o.plan_source = a.u32(); },
+     "Dijkstra source node (default 0)"},
+    {"--routes", shape::single, "<r>", k_plan,
+     [](options& o, const arg& a) { o.plan_routes = a.u32_at_least(1); },
+     "routes to extract and plan (default 100)"},
+    // Observability.
+    {"--metrics", shape::single, "<file>", k_obs,
+     [](options& o, const arg& a) {
+       if ((o.metrics_path = a.text).empty()) a.fail("wants a file path");
+     },
+     "write a JSONL metrics snapshot (merge: of the shards' FILE.metrics)",
+     false, true},
+    {"--progress", shape::toggle, "", k_obs,
+     [](options& o, const arg&) { o.progress = true; },
+     "'# progress:' heartbeat with ETA on stderr"},
+};
+
+/// The command usage() is scoped to once parse() has resolved it.
+const command* usage_command = nullptr;
+
+void usage(const std::string& msg) {
+  if (!msg.empty()) std::fprintf(stderr, "error: %s\n\n", msg.c_str());
+  std::string names;
+  for (const command& c : k_commands)
+    names += (names.empty() ? "" : "|") + std::string(c.name);
+  std::fprintf(stderr, "usage: anonpath <%s> [options]\n\n", names.c_str());
+  for (const command& c : k_commands) {
+    if (usage_command != nullptr && usage_command != &c) continue;
+    std::fprintf(stderr, "  %-9s %s\n", c.name, c.help);
+    std::string line = "           ";
+    for (const flag_row& f : k_flags) {
+      if ((f.commands & c.bit) == 0) continue;
+      if (line.size() + std::strlen(f.name) > 78) {
+        std::fprintf(stderr, "%s\n", line.c_str());
+        line = "           ";
+      }
+      line += ' ';
+      line += f.name;
+    }
+    std::fprintf(stderr, "%s\n", line.c_str());
+  }
+  std::fprintf(
+      stderr,
+      "\nA flag its command does not read is refused. An axis takes one "
+      "value, except\non campaign and merge, where it takes a comma list "
+      "and may repeat; a multi\nflag repeats on every command.\n\n");
+  static constexpr const char* shape_tag[] = {"", "", " [axis]", " [multi]"};
+  for (const flag_row& f : k_flags) {
+    if (usage_command != nullptr && (f.commands & usage_command->bit) == 0)
+      continue;
+    std::string spec = f.name;
+    if (*f.value != '\0') spec += std::string(" ") + f.value;
+    if (f.inline_value) spec += std::string(" | ") + f.name + "=" + f.value;
+    std::fprintf(stderr, "  %s%s\n      %s\n", spec.c_str(),
+                 shape_tag[static_cast<int>(f.kind)], f.help);
+  }
+  std::exit(2);
+}
+
+/// Resolves the command, then reads each flag through its table row. A
+/// flag the command does not read, a second copy of a flag that does not
+/// repeat, and a list given to an axis outside campaign/merge are usage
+/// errors, each refused here and nowhere else.
+options parse(int argc, char** argv) {
+  if (argc < 2) usage();
+  options opt;
+  for (const command& c : k_commands)
+    if (argv[1] == std::string(c.name)) opt.cmd = &c;
+  if (opt.cmd == nullptr) usage(std::string("unknown command ") + argv[1]);
+  usage_command = opt.cmd;
+  const bool sweep = (opt.cmd->bit & k_grid) != 0;
+  bool seen[std::size(k_flags)] = {};
+  for (int i = 2; i < argc; ++i) {
+    const std::string token = argv[i];
+    const std::string name = token.substr(0, token.find('='));
+    const bool inline_value = name.size() < token.size();
+    const flag_row* f = nullptr;
+    for (const flag_row& row : k_flags)
+      if (name == row.name && (!inline_value || row.inline_value)) f = &row;
+    if (f == nullptr) usage("unknown flag " + token);
+    if ((f->commands & opt.cmd->bit) == 0) {
+      std::string readers;
+      for (const command& c : k_commands)
+        if (f->commands & c.bit) readers += std::string(" ") + c.name;
+      usage(name + " does not apply to '" + opt.cmd->name + "' (read by:" +
+            readers + ")");
+    }
+    std::string value;
+    if (inline_value) {
+      value = token.substr(name.size() + 1);
+    } else if (f->kind != shape::toggle) {
+      if (i + 1 >= argc) usage("missing value for " + name);
+      value = argv[++i];
+    }
+    const bool axis = f->kind == shape::axis;
+    const std::vector<std::string> items =
+        (axis || f->kind == shape::multi) && f->comma_list
+            ? split_on(value, ',')
+            : std::vector<std::string>{value};
+    bool& given = seen[f - k_flags];
+    if (!(f->kind == shape::multi || (axis && sweep)) &&
+        (given || items.size() > 1))
+      usage(name + (axis ? " takes one value here (comma lists and repeats "
+                           "are campaign/merge axes)"
+                         : " given twice"));
+    given = true;
+    for (const std::string& item : items) f->apply(opt, arg{item, f->name});
+  }
+  return opt;
 }
 
 }  // namespace
@@ -1926,10 +1782,12 @@ int main(int argc, char** argv) {
   // with no diagnostic and no exit code of ours.
   std::signal(SIGPIPE, SIG_IGN);
 #endif
-  const options opt = parse(argc, argv);
   int rc;
   try {
-    rc = run_command(opt);
+    // Parsing builds distributions, so it can throw (std::bad_alloc for a
+    // path length no memory holds); that is an error exit, never an abort.
+    const options opt = parse(argc, argv);
+    rc = opt.cmd->run(opt);
   } catch (const std::exception& e) {
     std::fprintf(stderr, "error: %s\n", e.what());
     return 1;
