@@ -269,6 +269,28 @@ void BM_StreamingSdaIngestSketch(benchmark::State& state) {
 }
 BENCHMARK(BM_StreamingSdaIngestSketch)->Arg(16)->Arg(128);
 
+void BM_SdaTrajectorySummary(benchmark::State& state) {
+  // One trajectory point of the exact SDA at population scale: 1e6
+  // receivers, 400 target rounds of 1000 deliveries (a support of ~330k)
+  // plus 100 background rounds. The summary reads the count classes, not
+  // the support, so this should stay far below a pass over the receivers.
+  constexpr std::uint32_t receivers = 1000000;
+  attack::sda_attack atk(receivers);
+  stats::rng gen(13);
+  attack::round_observation round;
+  for (std::uint32_t i = 0; i < 500; ++i) {
+    round.target_present = i % 5 != 4;
+    round.receivers.clear();
+    for (int j = 0; j < 1000; ++j)
+      round.receivers.push_back(
+          static_cast<node_id>(gen.next_u64() % receivers));
+    if (round.target_present) round.receivers[0] = 17;
+    atk.observe_round(round);
+  }
+  for (auto _ : state) benchmark::DoNotOptimize(atk.summarize(500, 0.5));
+}
+BENCHMARK(BM_SdaTrajectorySummary);
+
 void BM_EventQueueScheduleRun(benchmark::State& state) {
   struct no_op final : sim::event_handler {
     void on_event(sim::event_kind, std::uint32_t) override {}

@@ -3,13 +3,12 @@
 #include <algorithm>
 #include <cmath>
 
-#include "src/anonymity/entropy.hpp"
 #include "src/attack/intersection.hpp"
 #include "src/attack/online.hpp"
 #include "src/attack/sda.hpp"
 #include "src/attack/sequential_bayes.hpp"
 #include "src/stats/contract.hpp"
-#include "src/stats/kahan.hpp"
+#include "src/stats/exact_sum.hpp"
 
 namespace anonpath::attack {
 
@@ -54,13 +53,33 @@ std::unique_ptr<disclosure_attack> make_attack(
   return nullptr;
 }
 
+namespace {
+
+/// One receiver's term of the entropy sum, shared by the dense and the
+/// class paths so both add the same doubles.
+double entropy_term(double q) { return -q * std::log2(q); }
+
+}  // namespace
+
 trajectory_point summarize_posterior(const std::vector<double>& posterior,
                                      std::uint32_t round,
                                      double identified_threshold) {
   ANONPATH_EXPECTS(!posterior.empty());
   trajectory_point pt;
   pt.round = round;
-  pt.entropy_bits = entropy_bits(posterior);
+  // entropy_bits' two passes, with exactly rounded sums.
+  stats::exact_sum total;
+  for (double p : posterior) {
+    ANONPATH_EXPECTS(p >= 0.0);
+    total.add(p);
+  }
+  const double norm = total.value();
+  if (norm > 0.0) {
+    stats::exact_sum h;
+    for (double p : posterior)
+      if (p > 0.0) h.add(entropy_term(p / norm));
+    pt.entropy_bits = h.value();
+  }
   const auto top =
       std::max_element(posterior.begin(), posterior.end()) - posterior.begin();
   pt.top_receiver = static_cast<node_id>(top);
@@ -74,45 +93,54 @@ trajectory_point disclosure_attack::summarize(
   return summarize_posterior(posterior(), round, identified_threshold);
 }
 
-std::optional<trajectory_point> summarize_sparse(
-    const std::vector<node_id>& support, std::vector<double> weights,
-    std::uint32_t round, double identified_threshold) {
-  ANONPATH_EXPECTS(weights.size() == support.size());
-  // Pass 1: clamp the negative part away and take the normalizer.
-  stats::kahan_sum z;
-  for (double& w : weights) {
-    if (w < 0.0) w = 0.0;
-    z.add(w);
-  }
-  if (z.value() <= 0.0) return std::nullopt;
-  // Pass 2: normalize; entropy_bits' total and the argmax (first maximum,
-  // i.e. smallest id, like std::max_element over the dense vector, whose
-  // skipped entries are +0 and never win).
+double class_normalizer(std::span<const weight_class> classes) {
+  stats::exact_sum z;
+  for (const weight_class& c : classes)
+    if (c.weight > 0.0) z.add_product(c.members, c.weight);
+  return z.value();
+}
+
+std::optional<trajectory_point> summarize_classes(
+    std::span<const weight_class> classes, std::uint32_t round,
+    double identified_threshold) {
+  const double z = class_normalizer(classes);
+  if (z <= 0.0) return std::nullopt;
+  // A clamped class is +0 in the dense vector: it adds nothing to either
+  // sum and never wins the argmax, whose maximum is positive here.
   trajectory_point pt;
   pt.round = round;
-  stats::kahan_sum total;
-  for (std::size_t i = 0; i < weights.size(); ++i) {
-    weights[i] /= z.value();
-    total.add(weights[i]);
-    if (weights[i] > pt.top_mass) {
-      pt.top_mass = weights[i];
-      pt.top_receiver = support[i];
+  stats::exact_sum total;
+  for (const weight_class& c : classes) {
+    if (!(c.weight > 0.0)) continue;
+    const double p = c.weight / z;
+    total.add_product(c.members, p);
+    if (p > pt.top_mass || (p == pt.top_mass && c.first < pt.top_receiver)) {
+      pt.top_mass = p;
+      pt.top_receiver = c.first;
     }
   }
-  // Pass 3: entropy, exactly as entropy_bits accumulates it.
   const double norm = total.value();
   if (norm > 0.0) {
-    stats::kahan_sum h;
-    for (double p : weights) {
-      if (p > 0.0) {
-        const double q = p / norm;
-        h.add(-q * std::log2(q));
-      }
+    stats::exact_sum h;
+    for (const weight_class& c : classes) {
+      if (!(c.weight > 0.0)) continue;
+      const double p = c.weight / z;
+      if (p > 0.0) h.add_product(c.members, entropy_term(p / norm));
     }
     pt.entropy_bits = h.value();
   }
   pt.identified = pt.top_mass > identified_threshold;
   return pt;
+}
+
+std::optional<trajectory_point> summarize_sparse(
+    const std::vector<node_id>& support, const std::vector<double>& weights,
+    std::uint32_t round, double identified_threshold) {
+  ANONPATH_EXPECTS(weights.size() == support.size());
+  std::vector<weight_class> classes(support.size());
+  for (std::size_t i = 0; i < support.size(); ++i)
+    classes[i] = {weights[i], 1, support[i]};
+  return summarize_classes(classes, round, identified_threshold);
 }
 
 double estimated_membership_noise(const workload::population& pop,

@@ -4,6 +4,7 @@
 #include <cstdint>
 #include <memory>
 #include <optional>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -86,9 +87,10 @@ class disclosure_attack {
 
   /// Trajectory point of the current posterior, sampled at `round`. The
   /// default is summarize_posterior(posterior(), ...); engines whose
-  /// posterior is zero outside a small support override it with a sparse
-  /// walk that returns the same point bit for bit without materializing the
-  /// dense vector.
+  /// posterior is zero outside a small support, or takes few distinct
+  /// values, override it with summarize_sparse / summarize_classes, which
+  /// return the same point bit for bit without materializing the dense
+  /// vector.
   [[nodiscard]] virtual trajectory_point summarize(
       std::uint32_t round, double identified_threshold) const;
 
@@ -142,22 +144,46 @@ struct sequential_bayes_config {
     const sequential_bayes_config& bayes = {});
 
 /// Summarizes a posterior into a trajectory point (shared by the runners
-/// and the simulator integration).
+/// and the simulator integration). The total and the entropy are exactly
+/// rounded sums (stats::exact_sum), so they do not depend on the order of
+/// the entries — the property that lets summarize_classes and
+/// summarize_sparse reproduce this point bit for bit from fewer terms.
+/// Precondition: entries >= 0.
 [[nodiscard]] trajectory_point summarize_posterior(
     const std::vector<double>& posterior, std::uint32_t round,
     double identified_threshold);
 
-/// summarize_posterior for a posterior that is +0 everywhere except on
-/// `support` (ascending receiver ids), where `weights` holds the
-/// unnormalized mass before clamping. Replays the dense path's clamp,
-/// Kahan normalization, argmax and entropy passes over the support only;
-/// the skipped +0 entries leave every Kahan–Neumaier sum and the argmax
-/// unchanged, so the point is bit-identical to normalizing the dense vector
-/// and summarizing it. nullopt when the clamped weights sum to <= 0 — the
-/// caller's uniform fallback. Precondition: weights.size() ==
+/// Receivers that share one unnormalized posterior weight: `members` of
+/// them, the smallest id `first`.
+struct weight_class {
+  double weight = 0.0;
+  std::uint64_t members = 0;
+  node_id first = 0;
+};
+
+/// Exactly rounded Σ members·max(weight, 0): the normalizer of a posterior
+/// that is +0 off `classes`.
+[[nodiscard]] double class_normalizer(std::span<const weight_class> classes);
+
+/// summarize_posterior for a posterior that is +0 everywhere except on the
+/// members of `classes`, each class holding its unnormalized weight before
+/// clamping. Each sum is the exactly rounded sum of the same terms the
+/// dense path adds — n equal terms go in as one exact product — and the +0
+/// entries add nothing, so the point is bit-identical to normalizing the
+/// dense vector and summarizing it, in O(#classes). The argmax compares the
+/// *normalized* mass (two weights can round to one p) and takes the
+/// smallest `first` among the classes reaching it, as the dense first
+/// maximum does. nullopt when the clamped weights sum to <= 0 — the
+/// caller's uniform fallback.
+[[nodiscard]] std::optional<trajectory_point> summarize_classes(
+    std::span<const weight_class> classes, std::uint32_t round,
+    double identified_threshold);
+
+/// summarize_classes with one class per `support` entry (ascending receiver
+/// ids), `weights` parallel to it. Precondition: weights.size() ==
 /// support.size().
 [[nodiscard]] std::optional<trajectory_point> summarize_sparse(
-    const std::vector<node_id>& support, std::vector<double> weights,
+    const std::vector<node_id>& support, const std::vector<double>& weights,
     std::uint32_t round, double identified_threshold);
 
 /// Streams every round of `pop` into `attack`, tracking persistent pair

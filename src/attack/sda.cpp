@@ -1,21 +1,92 @@
 #include "src/attack/sda.hpp"
 
-#include <bit>
+#include <algorithm>
+#include <array>
 #include <cmath>
 #include <string>
-#include <utility>
 
 #include "src/stats/contract.hpp"
 #include "src/stats/error.hpp"
-#include "src/stats/kahan.hpp"
+#include "src/stats/exact_sum.hpp"
 
 namespace anonpath::attack {
+
+count_class_table::count_class_table() : slots_(16), shift_(64 - 4) {}
+
+std::size_t count_class_table::home(std::uint64_t target,
+                                    std::uint64_t background) const noexcept {
+  return static_cast<std::size_t>(
+      ((target ^ (background << 32)) * 0x9E3779B97F4A7C15ull) >> shift_);
+}
+
+std::size_t count_class_table::find(std::uint64_t target,
+                                    std::uint64_t background) const noexcept {
+  const std::size_t mask = slots_.size() - 1;
+  std::size_t i = home(target, background);
+  while (slots_[i].members != 0 &&
+         (slots_[i].target != target || slots_[i].background != background))
+    i = (i + 1) & mask;
+  return i;
+}
+
+void count_class_table::table_join(std::uint64_t target,
+                                   std::uint64_t background, node_id r) {
+  std::size_t i = find(target, background);
+  if (slots_[i].members == 0) {
+    if (2 * (live_ + 1) > slots_.size()) {
+      // Keep the load at most 1/2: double and reinsert.
+      std::vector<entry> old(2 * slots_.size());
+      old.swap(slots_);
+      --shift_;
+      for (const entry& e : old)
+        if (e.members != 0) slots_[find(e.target, e.background)] = e;
+      i = find(target, background);
+    }
+    slots_[i] = {target, background, 0, r};
+    ++live_;
+  }
+  ++slots_[i].members;
+  slots_[i].first = std::min(slots_[i].first, r);
+}
+
+void count_class_table::table_leave(std::uint64_t target,
+                                    std::uint64_t background) {
+  std::size_t i = find(target, background);
+  ANONPATH_EXPECTS(slots_[i].members != 0);
+  if (--slots_[i].members != 0) return;
+  // Backward-shift deletion: pull each later entry of the probe run back
+  // into the hole unless its home lies cyclically in (hole, entry].
+  const std::size_t mask = slots_.size() - 1;
+  for (std::size_t j = (i + 1) & mask; slots_[j].members != 0;
+       j = (j + 1) & mask) {
+    const std::size_t k = home(slots_[j].target, slots_[j].background);
+    if (((j - k) & mask) >= ((j - i) & mask)) {
+      slots_[i] = slots_[j];
+      i = j;
+    }
+  }
+  slots_[i] = entry{};
+  --live_;
+}
+
+void count_class_table::settle_first(std::uint64_t target,
+                                     std::uint64_t background,
+                                     node_id r) const {
+  if (in_grid(target, background)) {
+    const cell& c = grid_[index(target, background)];
+    ANONPATH_EXPECTS(c.members != 0 && c.first <= r);
+    c.first = r;
+  } else {
+    const entry& e = slots_[find(target, background)];
+    ANONPATH_EXPECTS(e.members != 0 && e.first <= r);
+    e.first = r;
+  }
+}
 
 sda_attack::sda_attack(std::uint32_t receiver_count)
     : disclosure_attack(receiver_count),
       target_counts_(receiver_count, 0),
-      background_counts_(receiver_count, 0),
-      seen_((receiver_count + 63) / 64, 0) {}
+      background_counts_(receiver_count, 0) {}
 
 void sda_attack::observe_round(const round_observation& round) {
   // Zero deliveries is loss, not evidence (family-wide rule, see
@@ -23,15 +94,24 @@ void sda_attack::observe_round(const round_observation& round) {
   // batch size m-bar that the background subtraction scales by.
   if (round.receivers.empty()) return;
   for (node_id v : round.receivers) ANONPATH_EXPECTS(v < receiver_count_);
+  // Each delivery moves its receiver to the next count class; receivers
+  // never seen in a target round stay out of the classes (target 0).
   if (round.target_present) {
     for (node_id v : round.receivers) {
-      ++target_counts_[v];
-      seen_[v / 64] |= std::uint64_t{1} << (v % 64);
+      const std::uint64_t t = target_counts_[v]++;
+      const std::uint64_t b = background_counts_[v];
+      classes_.leave(t, b);
+      classes_.join(t + 1, b, v);
     }
     ++target_rounds_;
     target_messages_ += round.receivers.size();
   } else {
-    for (node_id v : round.receivers) ++background_counts_[v];
+    for (node_id v : round.receivers) {
+      const std::uint64_t t = target_counts_[v];
+      const std::uint64_t b = background_counts_[v]++;
+      classes_.leave(t, b);
+      classes_.join(t, b + 1, v);
+    }
     ++background_rounds_;
     background_messages_ += round.receivers.size();
   }
@@ -42,13 +122,15 @@ double sda_attack::mean_batch() const {
          static_cast<double>(target_rounds_);
 }
 
-double sda_attack::signal_at(node_id r, double mbar) const {
-  const double p_target = static_cast<double>(target_counts_[r]) /
+double sda_attack::signal_of(std::uint64_t target_count,
+                             std::uint64_t background_count,
+                             double mbar) const {
+  const double p_target = static_cast<double>(target_count) /
                           static_cast<double>(target_messages_);
   // No background rounds yet: fall back to the uniform prior for q̂ (the
   // subtraction then just recenters; evidence still ranks receivers).
   const double q = background_messages_ > 0
-                       ? static_cast<double>(background_counts_[r]) /
+                       ? static_cast<double>(background_count) /
                              static_cast<double>(background_messages_)
                        : 1.0 / static_cast<double>(receiver_count_);
   return mbar * p_target - (mbar - 1.0) * q;
@@ -59,7 +141,7 @@ std::vector<double> sda_attack::signal() const {
   if (target_messages_ == 0) return out;
   const double mbar = mean_batch();
   for (std::uint32_t r = 0; r < receiver_count_; ++r)
-    out[r] = signal_at(r, mbar);
+    out[r] = signal_of(target_counts_[r], background_counts_[r], mbar);
   return out;
 }
 
@@ -88,40 +170,96 @@ std::vector<double> sda_attack::confidence() const {
 }
 
 std::vector<double> sda_attack::posterior() const {
-  std::vector<double> post = signal();
-  stats::kahan_sum z;
-  for (double& p : post) {
-    if (p < 0.0) p = 0.0;
-    z.add(p);
-  }
-  if (target_messages_ == 0 || z.value() <= 0.0) {
-    const double u = 1.0 / static_cast<double>(receiver_count_);
-    for (double& p : post) p = u;
+  const auto uniform = [this] {
+    return std::vector<double>(receiver_count_,
+                               1.0 / static_cast<double>(receiver_count_));
+  };
+  if (target_messages_ == 0) return uniform();
+  const double mbar = mean_batch();
+  if (mbar < 1.0) {
+    // Receivers outside the classes may carry mass: normalize densely.
+    std::vector<double> post = signal();
+    stats::exact_sum z;
+    for (double& p : post) {
+      if (p < 0.0) p = 0.0;
+      z.add(p);
+    }
+    const double norm = z.value();
+    if (norm <= 0.0) return uniform();
+    for (double& p : post) p /= norm;
     return post;
   }
-  for (double& p : post) p /= z.value();
+  // m̄ >= 1: receivers outside the classes are +0, so the classes give the
+  // exactly rounded normalizer, and each grid class's mass is one division
+  // shared by all its members.
+  const class_weights cw = weight_classes(mbar);
+  const double norm = class_normalizer(cw.classes);
+  if (norm <= 0.0) return uniform();
+  const auto mass = [&](double w) { return std::max(w, 0.0) / norm; };
+  constexpr std::uint64_t side = count_class_table::k_side;
+  std::array<double, side * side> grid_mass{};
+  for (std::size_t i = 0; i < cw.classes.size(); ++i) {
+    const auto [t, b] = cw.keys[i];
+    if (t < side && b < side)
+      grid_mass[b * side + t] = mass(cw.classes[i].weight);
+  }
+  std::vector<double> post(receiver_count_, 0.0);
+  for (std::uint32_t r = 0; r < receiver_count_; ++r) {
+    const std::uint64_t t = target_counts_[r];
+    const std::uint64_t b = background_counts_[r];
+    if (t == 0) continue;
+    post[r] = t < side && b < side ? grid_mass[b * side + t]
+                                   : mass(signal_of(t, b, mbar));
+  }
   return post;
 }
 
-std::vector<node_id> sda_attack::support() const {
-  std::vector<node_id> out;
-  for (std::size_t w = 0; w < seen_.size(); ++w)
-    for (std::uint64_t bits = seen_[w]; bits != 0; bits &= bits - 1)
-      out.push_back(static_cast<node_id>(64 * w + std::countr_zero(bits)));
+sda_attack::class_weights sda_attack::weight_classes(double mbar) const {
+  class_weights out;
+  classes_.for_each([&](std::uint64_t t, std::uint64_t b,
+                        std::uint64_t members, node_id first) {
+    if (target_counts_[first] != t || background_counts_[first] != b)
+      out.stale.push_back(out.classes.size());
+    out.classes.push_back({signal_of(t, b, mbar), members, first});
+    out.keys.push_back({t, b});
+  });
   return out;
+}
+
+node_id sda_attack::first_with(std::uint64_t target_count,
+                               std::uint64_t background_count,
+                               node_id from) const {
+  node_id r = from;
+  while (target_counts_[r] != target_count ||
+         background_counts_[r] != background_count) {
+    ++r;
+    ANONPATH_ENSURES(r < receiver_count_);
+  }
+  return r;
 }
 
 trajectory_point sda_attack::summarize(std::uint32_t round,
                                        double identified_threshold) const {
   if (target_messages_ == 0 || mean_batch() < 1.0)
     return disclosure_attack::summarize(round, identified_threshold);
-  const std::vector<node_id> ids = support();
-  const double mbar = mean_batch();
-  std::vector<double> weights(ids.size());
-  for (std::size_t i = 0; i < ids.size(); ++i)
-    weights[i] = signal_at(ids[i], mbar);
-  if (auto pt = summarize_sparse(ids, std::move(weights), round,
-                                 identified_threshold))
+  class_weights cw = weight_classes(mean_batch());
+  std::vector<weight_class>& classes = cw.classes;
+  // Only the classes reaching the top normalized mass can name the argmax,
+  // so only they need their smallest member rescanned.
+  if (!cw.stale.empty()) {
+    const double z = class_normalizer(classes);
+    double top = 0.0;
+    for (const weight_class& c : classes) top = std::max(top, c.weight / z);
+    for (const std::size_t i : cw.stale) {
+      weight_class& c = classes[i];
+      if (z > 0.0 && c.weight / z == top) {
+        const auto [t, b] = cw.keys[i];
+        c.first = first_with(t, b, c.first);
+        classes_.settle_first(t, b, c.first);
+      }
+    }
+  }
+  if (auto pt = summarize_classes(classes, round, identified_threshold))
     return *pt;
   return disclosure_attack::summarize(round, identified_threshold);
 }
@@ -197,7 +335,7 @@ sda_attack sda_attack::from_counts(const workload::cooccurrence_result& totals,
                         " for receiver " + std::to_string(r));
     out.target_counts_[r] = tc;
     out.background_counts_[r] = c - tc;
-    if (tc > 0) out.seen_[r / 64] |= std::uint64_t{1} << (r % 64);
+    if (tc > 0) out.classes_.join(tc, c - tc, r);
   }
   if (t != t_end)
     reject_counts(parse_error_kind::mismatch,

@@ -3,7 +3,7 @@
 #include <algorithm>
 
 #include "src/stats/contract.hpp"
-#include "src/stats/kahan.hpp"
+#include "src/stats/exact_sum.hpp"
 
 namespace anonpath::attack {
 
@@ -40,26 +40,27 @@ void sketch_sda_attack::observe_round(const round_observation& round) {
 }
 
 std::vector<double> sketch_sda_attack::posterior() const {
-  // Candidate-restricted sda_attack::signal(), then the exact engine's
-  // normalization loop over the full population (zeros where no candidate)
-  // so collision-free instances reproduce sda_attack bit-for-bit.
+  // Candidate-restricted sda_attack::signal(), clamped and divided by the
+  // exactly rounded sum (zeros where no candidate add nothing), so
+  // collision-free instances reproduce sda_attack bit-for-bit.
   std::vector<double> post(receiver_count_, 0.0);
   if (target_messages_ > 0) {
     const std::vector<node_id> keys = candidates();
     const std::vector<double> sig = candidate_signal(keys);
     for (std::size_t i = 0; i < keys.size(); ++i) post[keys[i]] = sig[i];
   }
-  stats::kahan_sum z;
+  stats::exact_sum z;
   for (double& p : post) {
     if (p < 0.0) p = 0.0;
     z.add(p);
   }
-  if (target_messages_ == 0 || z.value() <= 0.0) {
+  const double norm = z.value();
+  if (target_messages_ == 0 || norm <= 0.0) {
     const double u = 1.0 / static_cast<double>(receiver_count_);
     for (double& p : post) p = u;
     return post;
   }
-  for (double& p : post) p /= z.value();
+  for (double& p : post) p /= norm;
   return post;
 }
 

@@ -18,8 +18,8 @@ namespace anonpath::attack {
 ///
 /// Conformance contract: on instances where the sketches are collision-free
 /// and the reservoir is unsaturated, posterior() is bit-identical to
-/// sda_attack on the same stream (the normalization replays the exact
-/// engine's loop shape). In general, estimates never underestimate the true
+/// sda_attack on the same stream (both normalize by the exactly rounded
+/// sum of the same clamped terms). In general, estimates never underestimate the true
 /// counts and overestimate by more than error_bound() with probability at
 /// most 2^-depth per key.
 class sketch_sda_attack final : public disclosure_attack {

@@ -9,10 +9,12 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <cstdint>
 #include <cstring>
 #include <memory>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "src/attack/disclosure.hpp"
@@ -22,6 +24,7 @@
 #include "src/attack/sketch_sda.hpp"
 #include "src/stats/rng.hpp"
 #include "src/workload/cooccurrence.hpp"
+#include "src/workload/population.hpp"
 
 namespace anonpath::attack {
 namespace {
@@ -365,6 +368,204 @@ TEST(SummarizeSparse, TopTiesResolveToTheSmallestId) {
   EXPECT_DOUBLE_EQ(pt.top_mass, 0.5);
   EXPECT_TRUE(pt.identified);
   expect_summary_matches_dense(engine, 2, "tie at the top");
+}
+
+TEST(SummarizeSparse, SdaSendRateBelowOneMatchesDense) {
+  // A workload stream at send rate 1/2: half the rounds carry no target, so
+  // receivers gain background counts and their classes move along both
+  // axes. 24 receivers over 400 rounds of 8 push the counts of many past
+  // the class grid, so the table and the moves between the two are
+  // exercised too.
+  workload::population_config cfg;
+  cfg.seed = 3;
+  cfg.user_count = 30;
+  cfg.receiver_count = 24;
+  cfg.round_count = 400;
+  cfg.persistent_rate = 0.5;
+  cfg.round_size = 8;
+  ASSERT_TRUE(cfg.valid());
+  const workload::population pop(cfg);
+  const node_id target = pop.pairs().front().sender;
+  sda_attack engine(cfg.receiver_count);
+  std::vector<std::uint64_t> target_count(cfg.receiver_count, 0),
+      background_count(cfg.receiver_count, 0);
+  round_observation obs;
+  for (std::uint32_t r = 0; r < cfg.round_count; ++r) {
+    const workload::round_batch batch = pop.round(r);
+    obs.target_present = std::find(batch.senders.begin(), batch.senders.end(),
+                                   target) != batch.senders.end();
+    obs.receivers = batch.receivers;
+    for (node_id v : obs.receivers)
+      ++(obs.target_present ? target_count : background_count)[v];
+    engine.observe_round(obs);
+    if (r % 7 == 0 || r + 1 == cfg.round_count)
+      expect_summary_matches_dense(engine, r + 1,
+                                   "send rate 1/2 round " + std::to_string(r));
+  }
+  const auto past_grid = [](const std::vector<std::uint64_t>& counts) {
+    return *std::max_element(counts.begin(), counts.end()) >=
+           count_class_table::k_side;
+  };
+  EXPECT_TRUE(past_grid(target_count));
+  EXPECT_TRUE(past_grid(background_count));
+}
+
+TEST(CountClassTable, ExactSizesAndTargetZeroIsNoClass) {
+  // Target 0 is no class, in the grid and past it; sizes are exact on both
+  // sides, and a class past the grid is dropped when it empties.
+  count_class_table table;
+  table.join(0, 3, 4);
+  table.join(0, 100, 5);
+  table.leave(0, 100);
+  table.join(2, 3, 9);
+  table.join(2, 3, 6);
+  table.join(40, 50, 8);
+  table.join(40, 50, 1);
+  table.leave(40, 50);
+  table.join(7, 60, 2);
+  table.leave(7, 60);
+  using row = std::tuple<std::uint64_t, std::uint64_t, std::uint64_t, node_id>;
+  const auto rows = [&table] {
+    std::vector<row> out;
+    table.for_each([&](std::uint64_t t, std::uint64_t b, std::uint64_t n,
+                       node_id first) { out.emplace_back(t, b, n, first); });
+    std::sort(out.begin(), out.end());
+    return out;
+  };
+  // (40, 50) keeps `first` = 1, the smallest id that joined it: at most the
+  // smallest member, which is all the caller relies on.
+  EXPECT_EQ(rows(), (std::vector<row>{{2, 3, 2, 6}, {40, 50, 1, 1}}));
+  table.settle_first(40, 50, 8);
+  EXPECT_EQ(rows(), (std::vector<row>{{2, 3, 2, 6}, {40, 50, 1, 8}}));
+  EXPECT_THROW(table.leave(7, 60), contract_violation);
+  EXPECT_THROW(table.leave(5, 5), contract_violation);
+}
+
+TEST(SummarizeSparse, NormalizedTiesAcrossClassesTakeTheSmallestId) {
+  // Two classes with adjacent raw weights that divide to the same mass:
+  // the argmax must compare normalized masses, so the smaller-weight class
+  // wins on its smaller id — exactly as the dense first maximum does.
+  // Adjacent weights just below 2 are 2^-53 apart relatively; a mass near
+  // the bottom of its binade has a relative ulp near 2^-52, so some
+  // normalizers send both to one double. Search for one.
+  const double high = std::nextafter(2.0, 0.0);
+  const double low = std::nextafter(high, 0.0);
+  std::vector<weight_class> classes;
+  double z = 0.0;
+  for (double rest = 0.5; rest < 0.9; rest += 1e-4) {
+    classes = {{high, 1, 9}, {low, 1, 4}, {rest, 5, 0}};
+    z = class_normalizer(classes);
+    if (high / z == low / z) break;
+  }
+  ASSERT_EQ(high / z, low / z) << "no collapsing normalizer found";
+  ASSERT_LT(classes[2].weight / z, low / z);
+
+  const auto pt = summarize_classes(classes, 3, 0.2);
+  ASSERT_TRUE(pt.has_value());
+  EXPECT_EQ(pt->top_receiver, 4u);
+
+  // The dense vector: id 9 high, id 4 low, ids {0,1,2,3,5} the rest.
+  std::vector<double> dense(10, 0.0);
+  dense[9] = high / z;
+  dense[4] = low / z;
+  for (node_id r : {0u, 1u, 2u, 3u, 5u}) dense[r] = classes[2].weight / z;
+  const trajectory_point want = summarize_posterior(dense, 3, 0.2);
+  EXPECT_EQ(pt->top_receiver, want.top_receiver);
+  EXPECT_TRUE(same_bits(pt->top_mass, want.top_mass));
+  EXPECT_TRUE(same_bits(pt->entropy_bits, want.entropy_bits));
+  EXPECT_EQ(pt->identified, want.identified);
+}
+
+TEST(SummarizeSparse, SdaRescansWhenTheSmallestMemberLeaves) {
+  // Receivers 3, 5 and 6 share the top class until 3 takes a background
+  // delivery; the class then names 5 only by a rescan, which is written
+  // back. Once with counts in the class grid, once past it (the table).
+  for (const std::uint32_t rounds : {2u, 40u}) {
+    const std::string what = std::to_string(rounds) + " target rounds";
+    sda_attack engine(10);
+    round_observation obs;
+    obs.target_present = true;
+    obs.receivers = {6, 3, 5};
+    for (std::uint32_t r = 0; r < rounds; ++r) engine.observe_round(obs);
+    obs.receivers = {1};
+    engine.observe_round(obs);
+    EXPECT_EQ(engine.summarize(rounds + 1, 0.5).top_receiver, 3u) << what;
+    obs.target_present = false;
+    obs.receivers = {3, 8};
+    engine.observe_round(obs);
+    EXPECT_EQ(engine.summarize(rounds + 2, 0.5).top_receiver, 5u) << what;
+    EXPECT_EQ(engine.summarize(rounds + 2, 0.5).top_receiver, 5u)
+        << what << ", after the write-back";
+    expect_summary_matches_dense(engine, rounds + 2, what);
+    // 5 leaves too (upward, by a target delivery): 6 is the sole member
+    // left behind, and 5 now tops the class above.
+    obs.target_present = true;
+    obs.receivers = {5};
+    engine.observe_round(obs);
+    expect_summary_matches_dense(engine, rounds + 3, what + ", 5 moved up");
+    // 6 follows 5 up, then 5 takes a background delivery: the class names
+    // 6 by a rescan, written back; 2 then joins it from below that minimum.
+    obs.receivers = {6};
+    engine.observe_round(obs);
+    obs.target_present = false;
+    obs.receivers = {5};
+    engine.observe_round(obs);
+    EXPECT_EQ(engine.summarize(rounds + 5, 0.5).top_receiver, 6u) << what;
+    obs.target_present = true;
+    obs.receivers = {2};
+    for (std::uint32_t r = 0; r <= rounds; ++r) engine.observe_round(obs);
+    EXPECT_EQ(engine.summarize(2 * rounds + 6, 0.5).top_receiver, 2u) << what;
+    expect_summary_matches_dense(engine, 2 * rounds + 6, what + ", 2 joined");
+  }
+}
+
+TEST(SummarizeSparse, SdaFromCountsClassesKeepStreaming) {
+  // Seed from counts that reach past the class grid on both axes, then
+  // stream more rounds into the seeded engine: placed members and moved
+  // members must add up to the same classes the dense path sees.
+  const std::uint32_t receivers = 60;
+  workload::cooccurrence_result totals;
+  totals.per_pair.resize(1);
+  totals.rounds = 200;
+  totals.per_pair[0].target_rounds = 120;
+  for (node_id v = 0; v < receivers; ++v) {
+    const std::uint64_t target = (v * 7) % 45;
+    const std::uint64_t global = target + (v * 11) % 50;
+    if (global == 0) continue;
+    totals.global_receiver_counts.emplace_back(v, global);
+    totals.messages += global;
+    totals.per_pair[0].target_messages += target;
+    if (target > 0)
+      totals.per_pair[0].target_receiver_counts.emplace_back(v, target);
+  }
+  sda_attack engine = sda_attack::from_counts(totals, 0, receivers);
+  expect_summary_matches_dense(engine, 200, "seeded");
+  check_every_round(engine, random_stream(receivers, 80, 6, 10, 41),
+                    "seeded then streamed");
+}
+
+TEST(SummarizeSparse, SdaRoundZeroPriorAndThinBatchAreDense) {
+  // Round 0: the uniform prior, H = log2 N exactly, smallest id on top.
+  sda_attack prior(8);
+  const trajectory_point pt = prior.summarize(0, 0.5);
+  EXPECT_EQ(pt.top_receiver, 0u);
+  EXPECT_EQ(pt.top_mass, 0.125);
+  EXPECT_EQ(pt.entropy_bits, 3.0);
+  expect_summary_matches_dense(prior, 0, "round-0 prior");
+
+  // m-bar < 1 with classes present: a receiver outside them has positive
+  // signal, so the summary must come from the dense vector.
+  workload::cooccurrence_result totals;
+  totals.rounds = 4;
+  totals.messages = 8;
+  totals.global_receiver_counts = {{0, 3}, {1, 2}, {2, 3}};
+  totals.per_pair.resize(1);
+  totals.per_pair[0].target_rounds = 3;
+  totals.per_pair[0].target_messages = 2;
+  totals.per_pair[0].target_receiver_counts = {{0, 1}, {2, 1}};
+  const sda_attack thin = sda_attack::from_counts(totals, 0, 5);
+  EXPECT_GT(thin.signal()[1], 0.0);
+  expect_summary_matches_dense(thin, 4, "m-bar below one, classes present");
 }
 
 TEST(SummarizeSparse, SketchSdaMatchesDenseSaturatedOrNot) {
