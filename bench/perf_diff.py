@@ -18,8 +18,9 @@ ratio. A benchmark is flagged when
 
 The default tolerance (3.0) is deliberately loose — CI runs the benches at
 --benchmark_min_time=0.01 where individual timings are noisy — but far
-below the 10x synthetic slowdown the CI self-test injects and the kind of
-accidental O(n) -> O(n^2) regress the gate exists to catch.
+below the 10x synthetic slowdown the smoke.bench_perf_gate self-test
+injects and the kind of accidental O(n) -> O(n^2) regress the gate exists
+to catch.
 
 A benchmark present in the baseline but missing from the current run also
 fails the gate: silently dropping a benchmark is how a regression hides.

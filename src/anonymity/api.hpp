@@ -132,10 +132,10 @@
 /// fixed master seed (the same contract as mc_config). A cell that throws
 /// becomes an error row in the CSV instead of killing the sweep, and the
 /// whole campaign is crash-resumable: src/sim/checkpoint.hpp journals
-/// finished cells to an append-only "anonpath-checkpoint v1" file (scope
-/// fingerprint + one bit-exact record per cell, versioned like trace v1),
-/// and a resumed run replays the journal and re-renders byte-identical
-/// output at any thread count. The same contract extends across machines:
+/// finished cells to an append-only "anonpath-checkpoint v2" file (scope
+/// fingerprint over the cells' trace config blocks + one bit-exact record
+/// per cell), and a resumed run replays the journal and re-renders
+/// byte-identical output at any thread count. The same contract extends across machines:
 /// campaign_config{shard_index, shard_count} runs one residue class of the
 /// grid's cells (seeds derive from absolute run indices), each shard
 /// journals under its shard identity, and sim::merge_campaign recombines

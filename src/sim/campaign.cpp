@@ -177,8 +177,7 @@ std::vector<scenario> expand_grid(const campaign_grid& grid) {
   return out;
 }
 
-sim_config scenario_config(const scenario& s, const campaign_grid& grid,
-                           std::uint64_t seed) {
+sim_config scenario_base_config(const scenario& s, const campaign_grid& grid) {
   sim_config cfg;
   cfg.sys = {s.node_count, s.compromised_count};
   cfg.compromised = spread_compromised(s.node_count, s.compromised_count);
@@ -204,12 +203,19 @@ sim_config scenario_config(const scenario& s, const campaign_grid& grid,
     cfg.session.attack = s.attack;
     cfg.session.stream = s.stream;
     cfg.session.partner = canonical_partner(s.population);
-    // The effective flags, not the configured list: a partial_coverage
-    // adversary supersedes cfg.compromised with a seeded draw, and the
-    // target must be honest under what the run actually corrupts.
+  }
+  return cfg;
+}
+
+sim_config scenario_config(const scenario& s, const campaign_grid& grid,
+                           std::uint64_t seed) {
+  sim_config cfg = scenario_base_config(s, grid);
+  // The effective flags, not the configured list: a partial_coverage
+  // adversary supersedes cfg.compromised with a seeded draw, and the
+  // target must be honest under what the run actually corrupts.
+  if (cfg.session.enabled())
     cfg.session.target_sender = lowest_honest_node(effective_compromised(
         cfg.adversary, s.node_count, cfg.compromised, seed));
-  }
   cfg.seed = seed;
   return cfg;
 }
@@ -263,8 +269,9 @@ campaign_result run_campaign(const campaign_grid& grid,
     if (config.resume) {
       std::ifstream in(config.checkpoint_path);
       if (in)
-        result.cells = read_checkpoint(in, scope, local_total,
-                                       config.shard_index, config.shard_count);
+        result.cells =
+            read_checkpoint(in, scope, config.replicas, local_total,
+                            config.shard_index, config.shard_count);
     }
     journal.open(config.checkpoint_path,
                  std::ios::out | std::ios::trunc);

@@ -222,8 +222,15 @@ struct campaign_result {
 /// callers can enumerate cells without running anything.
 [[nodiscard]] std::vector<scenario> expand_grid(const campaign_grid& grid);
 
-/// The sim_config a scenario runs under (shared settings from the grid,
-/// compromised set via spread_compromised, the given seed).
+/// The seed-free part of a scenario's sim_config: shared settings from the
+/// grid and the compromised set via spread_compromised, with `seed` and the
+/// session target (drawn under the seed) left at their defaults. Draws
+/// nothing; campaign_scope fingerprints it.
+[[nodiscard]] sim_config scenario_base_config(const scenario& s,
+                                              const campaign_grid& grid);
+
+/// The sim_config a scenario runs under: scenario_base_config plus the
+/// given seed and the session target it selects.
 [[nodiscard]] sim_config scenario_config(const scenario& s,
                                          const campaign_grid& grid,
                                          std::uint64_t seed);

@@ -1,8 +1,6 @@
 #include "src/sim/checkpoint.hpp"
 
 #include <bit>
-#include <cinttypes>
-#include <cstdio>
 #include <fstream>
 #include <istream>
 #include <ostream>
@@ -10,8 +8,10 @@
 #include <string>
 #include <utility>
 
+#include "src/sim/trace.hpp"
 #include "src/stats/contract.hpp"
 #include "src/stats/error.hpp"
+#include "src/stats/token_codec.hpp"
 
 namespace anonpath::sim {
 
@@ -22,63 +22,37 @@ constexpr char magic[] = "anonpath-checkpoint";
 /// Doubles travel as IEEE-754 bit patterns, exactly as in trace v1: bit
 /// round-trips and deterministic rendering are what make a resumed CSV
 /// byte-identical to an uninterrupted one.
-void put_double(std::ostream& os, double x) {
-  char buf[20];
-  std::snprintf(buf, sizeof buf, "%016" PRIx64,
-                std::bit_cast<std::uint64_t>(x));
-  os << buf;
-}
-
 void put_summary(std::ostream& os, const stats::running_summary& s) {
   os << ' ' << s.count() << ' ';
-  put_double(os, s.mean());
+  stats::put_hex_double(os, s.mean());
   os << ' ';
-  put_double(os, s.m2());
+  stats::put_hex_double(os, s.m2());
   os << ' ';
-  put_double(os, s.min());
+  stats::put_hex_double(os, s.min());
   os << ' ';
-  put_double(os, s.max());
+  stats::put_hex_double(os, s.max());
 }
 
 [[noreturn]] void bad(parse_error_kind kind, const std::string& what) {
   throw parse_error(kind, "checkpoint", what);
 }
 
-/// Parses a 16-digit lowercase hex token into raw bits; false on any
-/// deviation (a record failing here is either the kill point or corruption
-/// — the caller decides which by position).
-bool parse_hex64(const std::string& tok, std::uint64_t& out) {
-  if (tok.size() != 16) return false;
-  std::uint64_t bits = 0;
-  for (char c : tok) {
-    int digit;
-    if (c >= '0' && c <= '9') digit = c - '0';
-    else if (c >= 'a' && c <= 'f') digit = c - 'a' + 10;
-    else return false;
-    bits = (bits << 4) | static_cast<std::uint64_t>(digit);
-  }
-  out = bits;
-  return true;
-}
-
+/// False on any deviation (a record failing here is either the kill point
+/// or corruption — the caller decides which by position).
 bool parse_u64(const std::string& tok, std::uint64_t& out) {
-  if (tok.empty() || tok[0] < '0' || tok[0] > '9') return false;
-  try {
-    std::size_t used = 0;
-    out = std::stoull(tok, &used);
-    return used == tok.size();
-  } catch (const std::exception&) {
-    return false;
-  }
+  return stats::parse_u64(tok, out) == stats::u64_parse::ok;
 }
 
-bool parse_summary(std::istringstream& ss, stats::running_summary& out) {
+/// Each replica adds at most one sample to a summary, so a count past the
+/// campaign's replica count is corruption.
+bool parse_summary(std::istringstream& ss, std::uint32_t replicas,
+                   stats::running_summary& out) {
   std::string tok;
   std::uint64_t n = 0;
-  if (!(ss >> tok) || !parse_u64(tok, n)) return false;
+  if (!(ss >> tok) || !parse_u64(tok, n) || n > replicas) return false;
   std::uint64_t raw[4];
   for (std::uint64_t& r : raw)
-    if (!(ss >> tok) || !parse_hex64(tok, r)) return false;
+    if (!(ss >> tok) || !stats::parse_hex64(tok, r)) return false;
   out = stats::running_summary::restore(
       n, std::bit_cast<double>(raw[0]), std::bit_cast<double>(raw[1]),
       std::bit_cast<double>(raw[2]), std::bit_cast<double>(raw[3]));
@@ -86,31 +60,31 @@ bool parse_summary(std::istringstream& ss, stats::running_summary& out) {
 }
 
 /// Parses one `cell` record line against the index the caller expects
-/// next; false on any deviation. The caller decides by position whether a
-/// failure is the kill point (final line) or corruption.
+/// next and the campaign's replica count; false on any deviation. The
+/// caller decides by position whether a failure is the kill point (final
+/// line) or corruption.
 bool parse_cell_record(const std::string& line, std::uint64_t expected_index,
-                       campaign_cell& cell) {
+                       std::uint32_t replicas, campaign_cell& cell) {
   std::istringstream ss(line);
   std::string tok;
-  std::uint64_t index = 0, replicas = 0, errflag = 0;
+  std::uint64_t index = 0, record_replicas = 0, errflag = 0;
+  const auto summary = [&](stats::running_summary& out) {
+    return parse_summary(ss, replicas, out);
+  };
   const bool ok =
       (ss >> tok) && tok == "cell" && (ss >> tok) && parse_u64(tok, index) &&
-      index == expected_index && (ss >> tok) && parse_u64(tok, replicas) &&
-      replicas <= 0xFFFFFFFFull && (ss >> tok) &&
-      parse_u64(tok, cell.submitted) && (ss >> tok) &&
-      parse_u64(tok, cell.delivered) &&
-      parse_summary(ss, cell.delivered_fraction) &&
-      parse_summary(ss, cell.latency_seconds) && parse_summary(ss, cell.hops) &&
-      parse_summary(ss, cell.entropy_bits) &&
-      parse_summary(ss, cell.identified_fraction) &&
-      parse_summary(ss, cell.top1_accuracy) &&
-      parse_summary(ss, cell.attack_entropy_bits) &&
-      parse_summary(ss, cell.attack_identified) &&
-      parse_summary(ss, cell.rounds_to_identify) &&
-      parse_summary(ss, cell.retransmit_rate) && (ss >> tok) &&
+      index == expected_index && (ss >> tok) &&
+      parse_u64(tok, record_replicas) && record_replicas == replicas &&
+      (ss >> tok) && parse_u64(tok, cell.submitted) && (ss >> tok) &&
+      parse_u64(tok, cell.delivered) && summary(cell.delivered_fraction) &&
+      summary(cell.latency_seconds) && summary(cell.hops) &&
+      summary(cell.entropy_bits) && summary(cell.identified_fraction) &&
+      summary(cell.top1_accuracy) && summary(cell.attack_entropy_bits) &&
+      summary(cell.attack_identified) && summary(cell.rounds_to_identify) &&
+      summary(cell.retransmit_rate) && (ss >> tok) &&
       parse_u64(tok, errflag) && errflag <= 1;
   if (!ok) return false;
-  cell.replicas = static_cast<std::uint32_t>(replicas);
+  cell.replicas = replicas;
   if (errflag == 1) {
     std::getline(ss, cell.error);
     if (!cell.error.empty() && cell.error.front() == ' ')
@@ -143,7 +117,7 @@ bool parse_scope_line(const std::string& line, std::uint64_t& out) {
   std::istringstream head(line);
   std::string tok, hex;
   return (head >> tok) && tok == "scope" && (head >> hex) &&
-         parse_hex64(hex, out);
+         stats::parse_hex64(hex, out);
 }
 
 /// Parses `shard <i> <n>` into (index, count); false on any deviation.
@@ -159,9 +133,9 @@ bool looks_like_shard_line(const std::string& line) {
   return line.rfind("shard ", 0) == 0;
 }
 
-/// FNV-1a, the canonical 64-bit offset/prime pair.
-std::uint64_t fnv1a(const std::string& bytes) {
-  std::uint64_t h = 0xcbf29ce484222325ULL;
+/// FNV-1a, the canonical 64-bit prime, continuing from state `h` (start
+/// from the canonical offset basis).
+std::uint64_t fnv1a(std::uint64_t h, const std::string& bytes) {
   for (unsigned char c : bytes) {
     h ^= c;
     h *= 0x100000001b3ULL;
@@ -169,105 +143,34 @@ std::uint64_t fnv1a(const std::string& bytes) {
   return h;
 }
 
-void scope_double(std::ostream& os, double x) {
-  os << ' ';
-  put_double(os, x);
-}
-
 }  // namespace
 
 std::uint64_t campaign_scope(const campaign_grid& grid,
                              const campaign_config& config) {
-  // Canonical serialization of every input that shapes the cell list or a
-  // run's seed. Field order is fixed; doubles are bit patterns; every axis
-  // element is fully expanded (labels alone could collide).
-  std::ostringstream ss;
-  ss << "grid-v1 n";
-  for (std::uint32_t n : grid.node_counts) ss << ' ' << n;
-  ss << " c";
-  for (std::uint32_t c : grid.compromised_counts) ss << ' ' << c;
-  ss << " dist";
-  for (const auto& d : grid.lengths) {
-    ss << " [" << d.label();
-    for (double p : d.dense_pmf()) scope_double(ss, p);
-    ss << ']';
+  // The trace config block of every feasible cell, in cell order, as the
+  // cell runs before its per-run seed is applied: exactly what a journaled
+  // cell's results depend on, in the one encoding trace replay already
+  // pins. The run parameters that pick each run's seed close the stream.
+  std::uint64_t h = fnv1a(0xcbf29ce484222325ULL, "grid-v2\n");
+  std::ostringstream block;
+  for (const scenario& s : expand_grid(grid)) {
+    block.str("");
+    write_trace_config(scenario_base_config(s, grid), block);
+    h = fnv1a(h, block.str());
   }
-  ss << " mode";
-  for (routing_mode m : grid.modes)
-    ss << ' ' << (m == routing_mode::source_routed ? "s" : "h");
-  ss << " drop";
-  for (double d : grid.drop_probabilities) scope_double(ss, d);
-  ss << " rate";
-  for (double r : grid.arrival_rates) scope_double(ss, r);
-  ss << " adv";
-  for (const adversary_config& a : grid.adversaries) {
-    ss << ' ' << static_cast<int>(a.kind);
-    scope_double(ss, a.coverage_fraction);
-    ss << ' ' << (a.receiver_compromised ? 1 : 0);
-  }
-  ss << " topo";
-  for (const net::topology_config& t : grid.topologies) {
-    ss << ' ' << static_cast<int>(t.kind) << ' ' << t.ring_k << ' '
-       << t.degree << ' ' << t.graph_seed << ' ' << t.tiers;
-    scope_double(ss, t.trust_decay);
-  }
-  ss << " routing";
-  for (const net::routing_config& r : grid.routings)
-    ss << ' ' << static_cast<int>(r.kind) << ' ' << r.k;
-  ss << " churn";
-  for (const net::churn_config& ch : grid.churns) {
-    scope_double(ss, ch.down_rate);
-    scope_double(ss, ch.mean_downtime);
-  }
-  ss << " mixfail";
-  for (const mix_failure_config& mf : grid.mix_failures) {
-    ss << ' ' << mf.count;
-    scope_double(ss, mf.horizon);
-    scope_double(ss, mf.mean_duration);
-  }
-  ss << " retry";
-  for (const retry_policy& r : grid.retries) {
-    ss << ' ' << r.max_retries;
-    scope_double(ss, r.timeout);
-    scope_double(ss, r.backoff);
-    scope_double(ss, r.max_timeout);
-  }
-  ss << " pop";
-  for (std::uint32_t p : grid.populations) ss << ' ' << p;
-  ss << " rounds";
-  for (std::uint32_t r : grid.session_rounds) ss << ' ' << r;
-  ss << " attack";
-  for (attack::attack_kind a : grid.attacks) ss << ' ' << static_cast<int>(a);
-  ss << " stream";
-  for (workload::stream_backend s : grid.streams)
-    ss << ' ' << static_cast<int>(s);
-  ss << " outages";
-  for (const net::outage& o : grid.fault_outages) {
-    ss << ' ' << o.node;
-    scope_double(ss, o.start);
-    scope_double(ss, o.duration);
-  }
-  ss << " shared " << grid.message_count;
-  scope_double(ss, grid.forward_prob);
-  scope_double(ss, grid.latency.base);
-  scope_double(ss, grid.latency.jitter);
-  scope_double(ss, grid.latency.processing);
-  scope_double(ss, grid.identified_threshold);
-  ss << ' ' << static_cast<int>(grid.session_receiver_law.kind);
-  scope_double(ss, grid.session_receiver_law.exponent);
-  ss << " run " << config.replicas << ' ' << config.master_seed << ' '
-     << (config.via_trace ? 1 : 0);
-  return fnv1a(ss.str());
+  block.str("");
+  block << "run " << config.replicas << ' ' << config.master_seed << ' '
+        << (config.via_trace ? 1 : 0) << '\n';
+  return fnv1a(h, block.str());
 }
 
 void write_checkpoint_header(std::ostream& os, std::uint64_t scope,
                              std::uint32_t shard_index,
                              std::uint32_t shard_count) {
   ANONPATH_EXPECTS(shard_count >= 1 && shard_index < shard_count);
-  os << magic << " v" << checkpoint_file::format_version << '\n';
-  char buf[20];
-  std::snprintf(buf, sizeof buf, "%016" PRIx64, scope);
-  os << "scope " << buf << '\n';
+  os << magic << " v" << checkpoint_file::format_version << "\nscope ";
+  stats::put_hex64(os, scope);
+  os << '\n';
   if (shard_count > 1)
     os << "shard " << shard_index << ' ' << shard_count << '\n';
 }
@@ -301,6 +204,7 @@ void append_checkpoint_cell(std::ostream& os, std::uint64_t index,
 
 std::vector<campaign_cell> read_checkpoint(std::istream& is,
                                            std::uint64_t scope,
+                                           std::uint32_t replicas,
                                            std::uint64_t max_cells,
                                            std::uint32_t shard_index,
                                            std::uint32_t shard_count) {
@@ -363,7 +267,7 @@ std::vector<campaign_cell> read_checkpoint(std::istream& is,
     campaign_cell cell;
     const std::uint64_t expected =
         shard_index + cells.size() * static_cast<std::uint64_t>(shard_count);
-    if (!parse_cell_record(lines[i], expected, cell)) {
+    if (!parse_cell_record(lines[i], expected, replicas, cell)) {
       // The one legal irregularity: a final record the killed writer never
       // finished. Anything earlier is corruption and must be loud.
       if (final_record) break;
@@ -385,6 +289,7 @@ std::uint64_t shard_cell_count(std::uint64_t cell_total,
 }
 
 shard_checkpoint read_shard_checkpoint(std::istream& is, std::uint64_t scope,
+                                       std::uint32_t replicas,
                                        std::uint64_t cell_total) {
   std::vector<std::string> lines;
   std::string line;
@@ -432,7 +337,7 @@ shard_checkpoint read_shard_checkpoint(std::istream& is, std::uint64_t scope,
     const std::uint64_t expected =
         out.shard_index +
         out.cells.size() * static_cast<std::uint64_t>(out.shard_count);
-    if (!parse_cell_record(lines[i], expected, cell)) {
+    if (!parse_cell_record(lines[i], expected, replicas, cell)) {
       // Drop a torn final record (the kill point); the shard then fails
       // the merge's completeness check, loudly, as an incomplete shard.
       if (final_record) break;
@@ -463,7 +368,7 @@ campaign_result merge_campaign(const campaign_grid& grid,
           "cannot open shard checkpoint '" + path + "' for reading");
     shard_checkpoint shard;
     try {
-      shard = read_shard_checkpoint(in, scope, cell_total);
+      shard = read_shard_checkpoint(in, scope, config.replicas, cell_total);
     } catch (const parse_error& e) {
       // Re-frame with the offending path: a merge reads many files and
       // "scope mismatch" alone does not say which one to go look at.

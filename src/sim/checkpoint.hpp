@@ -9,7 +9,7 @@
 
 namespace anonpath::sim {
 
-/// Campaign checkpoint format, versioned like trace v1.
+/// Campaign checkpoint format, versioned like the trace format.
 ///
 /// A checkpoint is the crash-recovery journal of one `run_campaign`
 /// invocation: completed cells, in cell-index order, each carrying the
@@ -17,25 +17,26 @@ namespace anonpath::sim {
 /// patterns) needed to render that cell's CSV row bit-identically without
 /// re-running it. Layout:
 ///
-///   anonpath-checkpoint v1
+///   anonpath-checkpoint v2
 ///   scope <16-hex fingerprint>
 ///   [shard <i> <n>]
-///   cell <index> <replicas> <submitted> <delivered> \
+///   cell <index> <replicas> <submitted> <delivered>
 ///        {<count> <mean> <m2> <min> <max>} x10 <errflag> [error text]
 ///   ...
 ///
-/// One record per line. An unsharded journal has no shard line and its
+/// One record per line (each `cell` record above is one line). An unsharded journal has no shard line and its
 /// indices run strictly 0,1,2,... (a strict prefix of the grid's cell
 /// list — the writer flushes cells only in order). A shard i of n journals
 /// exactly the cells whose absolute grid index is congruent to i mod n, in
 /// order, under an explicit `shard i n` header line; absolute indices make
 /// shard journals mergeable back into the unsharded cell list with no
-/// renumbering. The scope line fingerprints everything that defines the
-/// cell list and the per-run seeds (grid, replicas, master seed,
-/// via_trace) but NOT the shard split — all shards of one campaign share a
+/// renumbering. The scope line is FNV-1a over the trace config block of
+/// each feasible cell plus the run parameters (see campaign_scope); it
+/// does NOT cover the shard split — all shards of one campaign share a
 /// scope, which is what lets merge_campaign verify they belong together.
 /// The scenario itself is not serialized: the grid reconstructs it from
-/// the index.
+/// the index. Every record's <replicas> must equal the campaign's and no
+/// summary count may exceed it.
 ///
 /// Recovery contract: the final line of a file whose writer was killed
 /// mid-append may be incomplete; read_checkpoint discards a malformed
@@ -43,17 +44,22 @@ namespace anonpath::sim {
 /// malformed record followed by further records — that is corruption, not
 /// a crash artifact.
 struct checkpoint_file {
-  /// Bump on any change to the serialized layout; read_checkpoint refuses
-  /// mismatched versions rather than misparse. (The optional shard header
-  /// line is additive: unsharded journals keep their v1 bytes.)
-  static constexpr std::uint32_t format_version = 1;
+  /// Bump on any change to the serialized layout or the scope bytes;
+  /// read_checkpoint refuses mismatched versions rather than misparse. v2
+  /// derives the scope from the trace config block; v1 journals (a hand
+  /// serialization of the grid) are refused as version_mismatch, so a
+  /// campaign journaled by a v1 build is rerun rather than resumed. (The
+  /// optional shard header line is additive.)
+  static constexpr std::uint32_t format_version = 2;
 };
 
 /// Deterministic fingerprint of everything that defines a campaign's cell
-/// list and run seeds: FNV-1a over a canonical serialization of the grid
-/// (every axis element, every shared setting, the fault outage plan) and
-/// the config's replicas/master_seed/via_trace. Two campaigns share a
-/// fingerprint iff their checkpoints are interchangeable.
+/// results: FNV-1a over "grid-v2", then the trace config block
+/// (write_trace_config) of scenario_base_config for every feasible cell of
+/// expand_grid, in cell order, then the config's replicas, master_seed and
+/// via_trace. It names no config field: a field enters through the trace
+/// writer, which trace replay already pins. Axis values that only add
+/// infeasible cells change neither the cell list nor the scope.
 [[nodiscard]] std::uint64_t campaign_scope(const campaign_grid& grid,
                                            const campaign_config& config);
 
@@ -74,7 +80,8 @@ void append_checkpoint_cell(std::ostream& os, std::uint64_t index,
 /// (the resume path; the defaults read an unsharded journal unchanged).
 /// The stream is untrusted input: a bad magic, version, or scope, a shard
 /// line disagreeing with (shard_index, shard_count), or a malformed
-/// non-final record, throws anonpath::parse_error (kinds mismatch /
+/// non-final record (a replica count other than `replicas` or a summary
+/// count above it included), throws anonpath::parse_error (kinds mismatch /
 /// version_mismatch / malformed / out_of_range); a malformed or truncated
 /// FINAL record is discarded as the kill point. Returned cells have
 /// default scenes (the caller rebinds them from the grid) and at most
@@ -82,8 +89,9 @@ void append_checkpoint_cell(std::ostream& os, std::uint64_t index,
 /// past that bound are corruption. An unsharded read refuses a shard
 /// journal rather than adopting its (differently indexed) records.
 [[nodiscard]] std::vector<campaign_cell> read_checkpoint(
-    std::istream& is, std::uint64_t scope, std::uint64_t max_cells,
-    std::uint32_t shard_index = 0, std::uint32_t shard_count = 1);
+    std::istream& is, std::uint64_t scope, std::uint32_t replicas,
+    std::uint64_t max_cells, std::uint32_t shard_index = 0,
+    std::uint32_t shard_count = 1);
 
 /// One shard journal as read back for merging: the identity it declares
 /// plus its completed cells in shard order (cell k holds absolute grid
@@ -99,10 +107,12 @@ struct shard_checkpoint {
 /// journal whose magic/scope/shard lines never finished flushing is a
 /// truncated shard, not forgivable zero progress. A torn FINAL cell record
 /// is still dropped (the kill point) — the shard then simply fails
-/// merge_campaign's completeness check. Throws anonpath::parse_error on
-/// any corruption, scope mismatch, or an out-of-range shard identity.
+/// merge_campaign's completeness check. Records are checked against
+/// `replicas` as in read_checkpoint. Throws anonpath::parse_error on any
+/// corruption, scope mismatch, or an out-of-range shard identity.
 [[nodiscard]] shard_checkpoint read_shard_checkpoint(std::istream& is,
                                                      std::uint64_t scope,
+                                                     std::uint32_t replicas,
                                                      std::uint64_t cell_total);
 
 /// Number of cells shard `shard_index` of `shard_count` owns in a grid of

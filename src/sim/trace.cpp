@@ -1,17 +1,15 @@
 #include "src/sim/trace.hpp"
 
 #include <bit>
-#include <cinttypes>
 #include <cmath>
-#include <cstdio>
 #include <istream>
 #include <ostream>
-#include <stdexcept>
 #include <string>
 
 #include "src/stats/contract.hpp"
 #include "src/stats/error.hpp"
 #include "src/stats/kahan.hpp"
+#include "src/stats/token_codec.hpp"
 
 namespace anonpath::sim {
 
@@ -19,13 +17,7 @@ namespace {
 
 constexpr char magic[] = "anonpath-trace";
 
-/// Doubles travel as IEEE-754 bit patterns: exact round-trip, deterministic
-/// rendering, no locale or precision pitfalls.
-void put_double(std::ostream& os, double x) {
-  char buf[20];
-  std::snprintf(buf, sizeof buf, "%016" PRIx64, std::bit_cast<std::uint64_t>(x));
-  os << buf;
-}
+using stats::put_hex_double;
 
 [[noreturn]] void bad(parse_error_kind kind, const std::string& what) {
   throw parse_error(kind, "trace", what);
@@ -44,38 +36,24 @@ std::string next_token(std::istream& is, const char* context) {
 }
 
 double get_double(std::istream& is, const char* context) {
-  const std::string tok = next_token(is, context);
-  if (tok.size() != 16) bad(std::string("malformed double for ") + context);
   std::uint64_t bits = 0;
-  for (char c : tok) {
-    int digit;
-    if (c >= '0' && c <= '9') digit = c - '0';
-    else if (c >= 'a' && c <= 'f') digit = c - 'a' + 10;
-    else bad(std::string("malformed double for ") + context);
-    bits = (bits << 4) | static_cast<std::uint64_t>(digit);
-  }
+  if (!stats::parse_hex64(next_token(is, context), bits))
+    bad(std::string("malformed double for ") + context);
   return std::bit_cast<double>(bits);
 }
 
 std::uint64_t get_u64(std::istream& is, const char* context) {
-  const std::string tok = next_token(is, context);
-  // std::stoull alone would accept "-1"/"+1" with wraparound; a trace that
-  // visually says one thing must never silently parse as another.
-  if (tok.empty() || tok[0] < '0' || tok[0] > '9')
-    bad(std::string("malformed integer for ") + context);
-  try {
-    std::size_t used = 0;
-    const std::uint64_t v = std::stoull(tok, &used);
-    if (used != tok.size()) bad(std::string("malformed integer for ") + context);
-    return v;
-  } catch (const parse_error&) {
-    throw;
-  } catch (const std::invalid_argument&) {
-    bad(std::string("malformed integer for ") + context);
-  } catch (const std::out_of_range&) {
-    bad(parse_error_kind::out_of_range,
-        std::string("integer out of range for ") + context);
+  std::uint64_t v = 0;
+  switch (stats::parse_u64(next_token(is, context), v)) {
+    case stats::u64_parse::ok:
+      return v;
+    case stats::u64_parse::malformed:
+      bad(std::string("malformed integer for ") + context);
+    case stats::u64_parse::overflow:
+      break;
   }
+  bad(parse_error_kind::out_of_range,
+      std::string("integer out of range for ") + context);
 }
 
 std::uint32_t get_u32(std::istream& is, const char* context) {
@@ -109,9 +87,7 @@ std::string tokenize_label(const std::string& label) {
 
 }  // namespace
 
-void write_trace(const sim_trace& trace, std::ostream& os) {
-  const sim_config& c = trace.config;
-  os << magic << " v" << sim_trace::format_version << '\n';
+void write_trace_config(const sim_config& c, std::ostream& os) {
   os << "sys " << c.sys.node_count << ' ' << c.sys.compromised_count << '\n';
   os << "compromised-config " << c.compromised.size();
   for (node_id id : c.compromised) os << ' ' << id;
@@ -120,35 +96,35 @@ void write_trace(const sim_trace& trace, std::ostream& os) {
   os << "dist " << tokenize_label(c.lengths.label()) << ' ' << pmf.size();
   for (double p : pmf) {
     os << ' ';
-    put_double(os, p);
+    put_hex_double(os, p);
   }
   os << '\n';
   os << "mode "
      << (c.mode == routing_mode::source_routed ? "source_routed" : "hop_by_hop")
      << '\n';
   os << "forward ";
-  put_double(os, c.forward_prob);
+  put_hex_double(os, c.forward_prob);
   os << '\n';
   os << "messages " << c.message_count << '\n';
   os << "rate ";
-  put_double(os, c.arrival_rate);
+  put_hex_double(os, c.arrival_rate);
   os << '\n';
   os << "latency ";
-  put_double(os, c.latency.base);
+  put_hex_double(os, c.latency.base);
   os << ' ';
-  put_double(os, c.latency.jitter);
+  put_hex_double(os, c.latency.jitter);
   os << ' ';
-  put_double(os, c.latency.processing);
+  put_hex_double(os, c.latency.processing);
   os << '\n';
   os << "drop ";
-  put_double(os, c.faults.drop_probability);
+  put_hex_double(os, c.faults.drop_probability);
   os << '\n';
   os << "seed " << c.seed << '\n';
   os << "adversary " << adversary_kind_label(c.adversary.kind) << ' ';
-  put_double(os, c.adversary.coverage_fraction);
+  put_hex_double(os, c.adversary.coverage_fraction);
   os << ' ' << (c.adversary.receiver_compromised ? 1 : 0) << '\n';
   os << "threshold ";
-  put_double(os, c.identified_threshold);
+  put_hex_double(os, c.identified_threshold);
   os << '\n';
   os << "collect " << (c.collect_posteriors ? 1 : 0) << '\n';
   // Session, topology and churn ride as optional extension lines, written
@@ -162,7 +138,7 @@ void write_trace(const sim_trace& trace, std::ostream& os) {
                ? "uniform"
                : "zipf")
        << ' ';
-    put_double(os, c.session.receiver_law.exponent);
+    put_hex_double(os, c.session.receiver_law.exponent);
     os << ' ' << c.session.target_sender << ' ' << c.session.partner << ' '
        << attack::attack_kind_label(c.session.attack) << '\n';
   }
@@ -175,14 +151,14 @@ void write_trace(const sim_trace& trace, std::ostream& os) {
     os << "topology " << topology_kind_name(c.topology.kind) << ' '
        << c.topology.ring_k << ' ' << c.topology.degree << ' '
        << c.topology.graph_seed << ' ' << c.topology.tiers << ' ';
-    put_double(os, c.topology.trust_decay);
+    put_hex_double(os, c.topology.trust_decay);
     os << '\n';
   }
   if (c.faults.churn.enabled()) {
     os << "churn ";
-    put_double(os, c.faults.churn.down_rate);
+    put_hex_double(os, c.faults.churn.down_rate);
     os << ' ';
-    put_double(os, c.faults.churn.mean_downtime);
+    put_hex_double(os, c.faults.churn.mean_downtime);
     os << '\n';
   }
   // Fault-plan and retry extensions, same additive discipline as the
@@ -192,32 +168,38 @@ void write_trace(const sim_trace& trace, std::ostream& os) {
     os << "outages " << c.faults.outages.size() << '\n';
     for (const net::outage& o : c.faults.outages) {
       os << "E " << o.node << ' ';
-      put_double(os, o.start);
+      put_hex_double(os, o.start);
       os << ' ';
-      put_double(os, o.duration);
+      put_hex_double(os, o.duration);
       os << '\n';
     }
   }
   if (c.faults.mix_failures.enabled()) {
     os << "mixfail " << c.faults.mix_failures.count << ' ';
-    put_double(os, c.faults.mix_failures.horizon);
+    put_hex_double(os, c.faults.mix_failures.horizon);
     os << ' ';
-    put_double(os, c.faults.mix_failures.mean_duration);
+    put_hex_double(os, c.faults.mix_failures.mean_duration);
     os << '\n';
   }
   if (c.retry.enabled()) {
     os << "retry " << c.retry.max_retries << ' ';
-    put_double(os, c.retry.timeout);
+    put_hex_double(os, c.retry.timeout);
     os << ' ';
-    put_double(os, c.retry.backoff);
+    put_hex_double(os, c.retry.backoff);
     os << ' ';
-    put_double(os, c.retry.max_timeout);
+    put_hex_double(os, c.retry.max_timeout);
     os << '\n';
   }
   // Planned-routing extension: absent for the default walk model, so every
   // pre-routing config still serializes byte-identically.
   if (c.routing.planned())
     os << "routing kpaths " << c.routing.k << '\n';
+}
+
+void write_trace(const sim_trace& trace, std::ostream& os) {
+  const sim_config& c = trace.config;
+  os << magic << " v" << sim_trace::format_version << '\n';
+  write_trace_config(c, os);
   os << "compromised " << trace.compromised.size();
   for (node_id id : trace.compromised) os << ' ' << id;
   os << '\n';
@@ -237,13 +219,13 @@ void write_trace(const sim_trace& trace, std::ostream& os) {
         break;
       case adversary_event::kind::relay:
         os << "T " << e.msg << ' ';
-        put_double(os, e.at);
+        put_hex_double(os, e.at);
         os << ' ' << e.reporter << ' ' << e.predecessor << ' ' << e.successor
            << '\n';
         break;
       case adversary_event::kind::receipt:
         os << "R " << e.msg << ' ';
-        put_double(os, e.at);
+        put_hex_double(os, e.at);
         os << ' ' << e.predecessor << '\n';
         break;
     }
@@ -251,9 +233,9 @@ void write_trace(const sim_trace& trace, std::ostream& os) {
   os << "truths " << trace.truths.size() << '\n';
   for (const message_truth& t : trace.truths) {
     os << "G " << t.msg << ' ' << t.outcome.origin << ' ';
-    put_double(os, t.outcome.sent_at);
+    put_hex_double(os, t.outcome.sent_at);
     os << ' ';
-    put_double(os, t.outcome.delivered_at);
+    put_hex_double(os, t.outcome.delivered_at);
     os << ' ' << (t.outcome.delivered ? 1 : 0) << ' ' << t.outcome.hops
        << '\n';
   }

@@ -80,6 +80,13 @@ struct sim_trace {
 /// traces render byte-identically. See README for the line grammar.
 void write_trace(const sim_trace& trace, std::ostream& os);
 
+/// Writes the config block of a trace: the lines from `sys` through the
+/// optional extension sections, every field that shapes a run of `config`
+/// (seed included). It is the one serialization of a sim_config: the trace
+/// writer embeds it, and campaign_scope hashes it, so a field that reaches
+/// a run (and therefore must survive trace replay) reaches the scope too.
+void write_trace_config(const sim_config& config, std::ostream& os);
+
 /// Parses a serialized trace. The stream is *untrusted input*: any
 /// truncation, mangled token, out-of-range value, oversized count, or
 /// version mismatch throws anonpath::parse_error (an std::invalid_argument

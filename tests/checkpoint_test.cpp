@@ -8,8 +8,10 @@
 
 #include <cstdio>
 #include <fstream>
+#include <map>
 #include <sstream>
 #include <string>
+#include <utility>
 
 #include "src/sim/campaign.hpp"
 #include "src/sim/checkpoint.hpp"
@@ -49,35 +51,109 @@ std::string scratch_path(const char* tag) {
          ".ckpt";
 }
 
-TEST(CampaignScope, FingerprintsEveryRelevantKnob) {
-  const sim::campaign_grid grid = small_grid();
+/// A two-N grid whose every axis reaches the config block: sessions are on
+/// in some cells (so the session axes and law count), off in others (so
+/// hop-by-hop routing stays feasible).
+sim::campaign_grid scope_grid() {
+  sim::campaign_grid grid;
+  grid.node_counts = {20, 24};
+  grid.compromised_counts = {2};
+  grid.populations = {0, 20};
+  grid.session_rounds = {0, 10};
+  grid.attacks = {attack::attack_kind::none, attack::attack_kind::sda};
+  grid.message_count = 60;
+  return grid;
+}
+
+TEST(CampaignScope, EverySingleFieldPerturbationMovesTheScope) {
+  using G = sim::campaign_grid;
+  using C = sim::campaign_config;
+  using grid_edit = void (*)(G&);
+  using config_edit = void (*)(C&);
+  const std::pair<const char*, grid_edit> grid_edits[] = {
+      // The 16 axes.
+      {"node_counts", [](G& g) { g.node_counts[1] = 25; }},
+      {"compromised_counts", [](G& g) { g.compromised_counts = {3}; }},
+      {"lengths",
+       [](G& g) { g.lengths = {path_length_distribution::fixed(4)}; }},
+      {"modes", [](G& g) { g.modes = {routing_mode::hop_by_hop}; }},
+      {"drop_probabilities", [](G& g) { g.drop_probabilities = {0.1}; }},
+      {"arrival_rates", [](G& g) { g.arrival_rates = {40.0}; }},
+      {"adversaries",
+       [](G& g) { g.adversaries[0].receiver_compromised = false; }},
+      {"topologies",
+       [](G& g) { g.topologies[0].kind = net::topology_kind::tiered; }},
+      {"routings", [](G& g) {
+         g.routings = {net::routing_config{net::route_select::kpaths, 3}};
+       }},
+      {"churns", [](G& g) { g.churns = {net::churn_config{0.2, 0.5}}; }},
+      {"mix_failures",
+       [](G& g) { g.mix_failures = {sim::mix_failure_config{2, 0.0, 0.3}}; }},
+      {"retries",
+       [](G& g) { g.retries = {sim::retry_policy{2, 0.1, 2.0, 1.0}}; }},
+      {"populations", [](G& g) { g.populations[1] = 30; }},
+      {"session_rounds", [](G& g) { g.session_rounds[1] = 12; }},
+      {"attacks", [](G& g) { g.attacks[1] = attack::attack_kind::sequential_bayes; }},
+      {"streams", [](G& g) {
+         g.streams = {workload::stream_backend::exact,
+                      workload::stream_backend::sketch};
+       }},
+      // The 6 shared settings.
+      {"message_count", [](G& g) { g.message_count = 61; }},
+      {"forward_prob", [](G& g) { g.forward_prob = 0.7; }},
+      {"latency", [](G& g) { g.latency.jitter *= 2.0; }},
+      {"identified_threshold", [](G& g) { g.identified_threshold = 0.95; }},
+      {"session_receiver_law", [](G& g) {
+         g.session_receiver_law.kind = workload::popularity_kind::zipf;
+       }},
+      {"fault_outages", [](G& g) { g.fault_outages = {{1, 0.1, 0.2}}; }},
+  };
+  // The 3 run parameters.
+  const std::pair<const char*, config_edit> config_edits[] = {
+      {"replicas", [](C& c) { c.replicas = 3; }},
+      {"master_seed", [](C& c) { c.master_seed = 2; }},
+      {"via_trace", [](C& c) { c.via_trace = true; }},
+  };
+
+  const sim::campaign_grid grid = scope_grid();
   sim::campaign_config config;
   config.replicas = 2;
   const std::uint64_t base = sim::campaign_scope(grid, config);
   EXPECT_EQ(base, sim::campaign_scope(grid, config));  // deterministic
 
-  sim::campaign_config other = config;
-  other.master_seed = 2;
-  EXPECT_NE(base, sim::campaign_scope(grid, other));
-  other = config;
-  other.replicas = 3;
-  EXPECT_NE(base, sim::campaign_scope(grid, other));
-  other = config;
-  other.via_trace = true;
-  EXPECT_NE(base, sim::campaign_scope(grid, other));
+  std::map<std::uint64_t, std::string> seen{{base, "base"}};
+  const auto expect_fresh = [&](const char* field, std::uint64_t scope) {
+    const auto [at, fresh] = seen.emplace(scope, field);
+    EXPECT_TRUE(fresh) << field << " shares its scope with " << at->second;
+  };
+  for (const auto& [field, edit] : grid_edits) {
+    sim::campaign_grid changed = grid;
+    edit(changed);
+    ASSERT_FALSE(sim::expand_grid(changed).empty()) << field;
+    expect_fresh(field, sim::campaign_scope(changed, config));
+  }
+  for (const auto& [field, edit] : config_edits) {
+    sim::campaign_config changed = config;
+    edit(changed);
+    expect_fresh(field, sim::campaign_scope(grid, changed));
+  }
+  EXPECT_EQ(seen.size(), 26u);
+}
 
-  sim::campaign_grid changed = small_grid();
-  changed.drop_probabilities = {0.0, 0.151};
-  EXPECT_NE(base, sim::campaign_scope(changed, config));
-  changed = small_grid();
-  changed.retries[1].max_retries = 3;
-  EXPECT_NE(base, sim::campaign_scope(changed, config));
-  changed = small_grid();
-  changed.fault_outages = {{0, 1.0, 2.0}};
-  EXPECT_NE(base, sim::campaign_scope(changed, config));
-  changed = small_grid();
-  changed.mix_failures = {sim::mix_failure_config{3, 0.0, 1.0}};
-  EXPECT_NE(base, sim::campaign_scope(changed, config));
+TEST(CampaignScope, InfeasibleAxisValuesLeaveTheScopeAlone) {
+  // C == N and a length that cannot fit N only add cells expand_grid
+  // drops: the cell list, the CSV and the journal are those of the base
+  // grid, so the journal stays resumable.
+  const sim::campaign_grid grid = scope_grid();
+  sim::campaign_config config;
+  config.replicas = 2;
+  sim::campaign_grid padded = grid;
+  padded.compromised_counts = {2, 24};
+  padded.lengths.push_back(path_length_distribution::fixed(30));
+  EXPECT_GT(padded.cell_count(), grid.cell_count());
+  EXPECT_EQ(sim::expand_grid(padded).size(), sim::expand_grid(grid).size());
+  EXPECT_EQ(sim::campaign_scope(padded, config),
+            sim::campaign_scope(grid, config));
 }
 
 TEST(Checkpoint, CellRecordsRoundTripBitExactly) {
@@ -102,7 +178,7 @@ TEST(Checkpoint, CellRecordsRoundTripBitExactly) {
   sim::append_checkpoint_cell(os, 1, errored);
 
   std::istringstream is(os.str());
-  const auto cells = sim::read_checkpoint(is, 0xdeadbeefcafef00dULL, 10);
+  const auto cells = sim::read_checkpoint(is, 0xdeadbeefcafef00dULL, 4, 10);
   ASSERT_EQ(cells.size(), 2u);
   EXPECT_EQ(cells[0].submitted, cell.submitted);
   EXPECT_EQ(cells[0].delivered, cell.delivered);
@@ -118,42 +194,114 @@ TEST(Checkpoint, CellRecordsRoundTripBitExactly) {
   EXPECT_EQ(cells[1].error, errored.error);
 }
 
+parse_error_kind read_failure_kind(const std::string& text,
+                                   std::uint64_t scope,
+                                   std::uint64_t max_cells) {
+  std::istringstream is(text);
+  try {
+    (void)sim::read_checkpoint(is, scope, 1, max_cells);
+  } catch (const parse_error& e) {
+    return e.kind();
+  }
+  ADD_FAILURE() << "read_checkpoint unexpectedly succeeded";
+  return parse_error_kind::io;
+}
+
 TEST(Checkpoint, RejectsForeignAndCorruptJournals) {
+  sim::campaign_cell one_replica;
+  one_replica.replicas = 1;
   std::ostringstream os;
   sim::write_checkpoint_header(os, 1);
-  sim::append_checkpoint_cell(os, 0, sim::campaign_cell{});
-  sim::append_checkpoint_cell(os, 1, sim::campaign_cell{});
+  sim::append_checkpoint_cell(os, 0, one_replica);
+  sim::append_checkpoint_cell(os, 1, one_replica);
   const std::string text = os.str();
+  {
+    std::istringstream is(text);
+    EXPECT_EQ(sim::read_checkpoint(is, 1, 1, 10).size(), 2u);
+  }
 
-  {
-    std::istringstream is(text);
-    EXPECT_THROW(sim::read_checkpoint(is, 2, 10), parse_error);  // scope
-  }
-  {
-    std::istringstream is("anonpath-trace v1\n");
-    EXPECT_THROW(sim::read_checkpoint(is, 1, 10), parse_error);  // magic
-  }
-  {
-    std::istringstream is("anonpath-checkpoint v9\nscope whatever\n");
-    EXPECT_THROW(sim::read_checkpoint(is, 1, 10), parse_error);  // version
-  }
-  {
-    // A mangled NON-final record is corruption, not a kill point.
-    std::string mangled = text;
-    mangled.replace(mangled.find("cell 0"), 6, "cell x");
-    std::istringstream is(mangled);
-    EXPECT_THROW(sim::read_checkpoint(is, 1, 10), parse_error);
-  }
-  {
-    // More records than the grid has cells: a foreign or stale journal.
-    std::istringstream is(text);
-    EXPECT_THROW(sim::read_checkpoint(is, 1, 1), parse_error);
-  }
+  EXPECT_EQ(read_failure_kind(text, 2, 10), parse_error_kind::mismatch);
+  EXPECT_EQ(read_failure_kind("anonpath-trace v1\n", 1, 10),
+            parse_error_kind::mismatch);
+  EXPECT_EQ(read_failure_kind("anonpath-checkpoint v9\nscope whatever\n", 1,
+                              10),
+            parse_error_kind::version_mismatch);
+  // A v1 journal (the hand-kept scope encoding) is refused, not reread.
+  std::string v1 = text;
+  v1.replace(v1.find(" v2\n"), 4, " v1\n");
+  EXPECT_EQ(read_failure_kind(v1, 1, 10), parse_error_kind::version_mismatch);
+  // A mangled NON-final record is corruption, not a kill point.
+  std::string mangled = text;
+  mangled.replace(mangled.find("cell 0"), 6, "cell x");
+  EXPECT_EQ(read_failure_kind(mangled, 1, 10), parse_error_kind::malformed);
+  // More records than the grid has cells: a foreign or stale journal.
+  EXPECT_EQ(read_failure_kind(text, 1, 1), parse_error_kind::mismatch);
   {
     // Empty stream = killed before the header: zero progress, no error.
     std::istringstream is("");
-    EXPECT_TRUE(sim::read_checkpoint(is, 1, 10).empty());
+    EXPECT_TRUE(sim::read_checkpoint(is, 1, 1, 10).empty());
   }
+}
+
+/// Replaces token `t` of line `line` (both 0-based) of a journal.
+std::string with_token(const std::string& journal, std::size_t line,
+                       std::size_t t, const std::string& sub) {
+  std::size_t begin = 0;
+  for (std::size_t i = 0; i < line; ++i) begin = journal.find('\n', begin) + 1;
+  for (std::size_t i = 0; i < t; ++i) begin = journal.find(' ', begin) + 1;
+  const std::size_t end = journal.find_first_of(" \n", begin);
+  return journal.substr(0, begin) + sub + journal.substr(end);
+}
+
+TEST(Checkpoint, RecordsMustCarryTheCampaignReplicaCount) {
+  // `campaign --n 20 --c 1,2 --dist F:3 --messages 50 --replicas 4 --seed 3
+  // --checkpoint j.ckpt`, then `cell 0 4 ...` edited to `cell 0 9 ...` and
+  // resumed: the edited record must not reach the CSV's replicas column.
+  sim::campaign_grid grid;
+  grid.node_counts = {20};
+  grid.compromised_counts = {1, 2};
+  grid.message_count = 50;
+  sim::campaign_config config;
+  config.replicas = 4;
+  config.master_seed = 3;
+  config.checkpoint_path = scratch_path("replicas");
+  const std::string clean_csv = render(sim::run_campaign(grid, config));
+  const std::string journal = slurp(config.checkpoint_path);
+  ASSERT_EQ(journal.find("cell 0 4 "), journal.find("\ncell ") + 1);
+
+  sim::campaign_config resume = config;
+  resume.resume = true;
+  const auto resume_from = [&](const std::string& text) {
+    std::ofstream(config.checkpoint_path, std::ios::binary) << text;
+    return render(sim::run_campaign(grid, resume));
+  };
+  const auto resume_kind = [&](const std::string& text) {
+    try {
+      (void)resume_from(text);
+    } catch (const parse_error& e) {
+      return e.kind();
+    }
+    ADD_FAILURE() << "resume accepted a foreign record";
+    return parse_error_kind::io;
+  };
+  // Record 0 is line 2, its replica count token 2 and its first summary
+  // count token 5; record 1 is the final line.
+  EXPECT_EQ(resume_kind(with_token(journal, 2, 2, "9")),
+            parse_error_kind::malformed);
+  EXPECT_EQ(resume_kind(with_token(journal, 2, 2, "3")),
+            parse_error_kind::malformed);
+  EXPECT_EQ(resume_kind(with_token(journal, 2, 5, "5")),
+            parse_error_kind::malformed);
+  // On the final line the same edit is the kill point: that cell reruns.
+  EXPECT_EQ(resume_from(with_token(journal, 3, 2, "9")), clean_csv);
+  EXPECT_EQ(resume_from(with_token(journal, 3, 5, "5")), clean_csv);
+
+  // The merge path reads records under the same rule.
+  std::istringstream is(with_token(journal, 2, 2, "9"));
+  EXPECT_THROW((void)sim::read_shard_checkpoint(
+                   is, sim::campaign_scope(grid, config), 4, 2),
+               parse_error);
+  std::remove(config.checkpoint_path.c_str());
 }
 
 TEST(Checkpoint, KillPointSweepResumesBitIdentically) {

@@ -12,12 +12,11 @@
 #include <fstream>
 #include <sstream>
 #include <string>
-#include <vector>
 
 #include "src/sim/trace.hpp"
 #include "src/stats/contract.hpp"
 #include "src/stats/error.hpp"
-#include "src/stats/rng.hpp"
+#include "tests/fuzz_mutations.hpp"
 
 namespace anonpath {
 namespace {
@@ -71,105 +70,16 @@ void expect_graceful(const std::string& text, const std::string& what,
   }
 }
 
-std::vector<std::string> split_lines(const std::string& text) {
-  std::vector<std::string> lines;
-  std::size_t pos = 0;
-  while (pos < text.size()) {
-    const std::size_t nl = text.find('\n', pos);
-    lines.push_back(text.substr(pos, nl - pos));
-    if (nl == std::string::npos) break;
-    pos = nl + 1;
-  }
-  return lines;
-}
-
-std::string join_skipping(const std::vector<std::string>& lines,
-                          std::size_t skip) {
-  std::string out;
-  for (std::size_t i = 0; i < lines.size(); ++i) {
-    if (i == skip) continue;
-    out += lines[i];
-    out += '\n';
-  }
-  return out;
-}
-
 void fuzz_corpus(const std::string& base, const char* tag) {
-  const std::vector<std::string> lines = split_lines(base);
-  ASSERT_GT(lines.size(), 10u);
+  ASSERT_GT(fuzz::split_lines(base).size(), 10u);
+  // Structural (line-level) mutants that still parse are also replayed,
+  // up to a budget.
   int replays_left = 40;
-
-  // Every prefix truncation at line granularity, plus mid-line cuts.
-  std::size_t offset = 0;
-  for (std::size_t i = 0; i < lines.size(); ++i) {
-    offset += lines[i].size() + 1;
-    expect_graceful(base.substr(0, offset),
-                    std::string(tag) + ": truncated after line " +
-                        std::to_string(i),
-                    &replays_left);
-    expect_graceful(base.substr(0, offset - lines[i].size() / 2 - 1),
-                    std::string(tag) + ": cut inside line " +
-                        std::to_string(i),
-                    &replays_left);
-  }
-
-  // Every single-line deletion, duplication, and pairwise adjacent swap.
-  for (std::size_t i = 0; i < lines.size(); ++i) {
-    expect_graceful(join_skipping(lines, i),
-                    std::string(tag) + ": deleted line " + std::to_string(i),
-                    &replays_left);
-    expect_graceful(base + lines[i] + "\n",
-                    std::string(tag) + ": re-appended line " +
-                        std::to_string(i),
-                    &replays_left);
-    if (i + 1 < lines.size()) {
-      std::vector<std::string> swapped = lines;
-      std::swap(swapped[i], swapped[i + 1]);
-      expect_graceful(join_skipping(swapped, swapped.size()),
-                      std::string(tag) + ": swapped lines " +
-                          std::to_string(i),
-                      &replays_left);
-    }
-  }
-
-  // Token mangling: every token of every line, four hostile substitutes.
-  // "4294967295"/"99999..." probe count fields for unbounded reserves and
-  // index fields for out-of-range nodes/messages; "x" and "-3" probe the
-  // numeric parsers; "" (token deletion) probes truncation mid-line.
-  const char* evil[] = {"x", "-3", "4294967295", "99999999999999999999", ""};
-  for (std::size_t i = 0; i < lines.size(); ++i) {
-    std::istringstream split(lines[i]);
-    std::vector<std::string> tokens;
-    for (std::string tok; split >> tok;) tokens.push_back(tok);
-    for (std::size_t t = 0; t < tokens.size(); ++t) {
-      for (const char* sub : evil) {
-        std::string rebuilt;
-        for (std::size_t k = 0; k < tokens.size(); ++k) {
-          if (k == t && sub[0] == '\0') continue;
-          if (!rebuilt.empty()) rebuilt += ' ';
-          rebuilt += k == t ? sub : tokens[k];
-        }
-        std::vector<std::string> mutated = lines;
-        mutated[i] = rebuilt;
-        expect_graceful(join_skipping(mutated, mutated.size()),
-                        std::string(tag) + ": line " + std::to_string(i) +
-                            " token " + std::to_string(t) + " -> '" + sub +
-                            "'",
-                        nullptr);
-      }
-    }
-  }
-
-  // Seeded random byte corruption: flip one byte at a time.
-  stats::rng gen = stats::rng::stream(0xf0220ULL, 0);
-  for (int round = 0; round < 200; ++round) {
-    std::string mutated = base;
-    const std::size_t at = gen.next_below(mutated.size());
-    mutated[at] = static_cast<char>(gen.next_below(256));
-    expect_graceful(mutated,
-                    std::string(tag) + ": byte flip at " + std::to_string(at),
-                    nullptr);
-  }
+  fuzz::for_each_mutant(
+      base, tag,
+      [&](const std::string& text, const std::string& what, bool line_level) {
+        expect_graceful(text, what, line_level ? &replays_left : nullptr);
+      });
 }
 
 TEST(TraceFuzz, GoldenCorpusNeverCrashesTheParser) {

@@ -59,7 +59,6 @@
 //                 candidate reservoir; sda only)
 
 #include <algorithm>
-#include <cctype>
 #include <cerrno>
 #include <cmath>
 #include <csignal>
@@ -101,6 +100,7 @@
 #include "src/sim/simulator.hpp"
 #include "src/sim/trace.hpp"
 #include "src/stats/error.hpp"
+#include "src/stats/token_codec.hpp"
 #include "src/workload/cooccurrence.hpp"
 #include "src/workload/population.hpp"
 #include "src/workload/streaming.hpp"
@@ -205,23 +205,18 @@ double parse_double_or_die(const std::string& tok, const std::string& what) {
 
 std::uint32_t parse_u32_or_die(const std::string& tok,
                                const std::string& what) {
-  char* end = nullptr;
-  const unsigned long long v = std::strtoull(tok.c_str(), &end, 10);
-  if (tok.empty() || !std::isdigit(static_cast<unsigned char>(tok[0])) ||
-      *end != '\0' || v > 0xFFFFFFFFull)
+  std::uint64_t v = 0;
+  if (stats::parse_u64(tok, v) != stats::u64_parse::ok || v > 0xFFFFFFFFull)
     usage("bad " + what + " (want an unsigned 32-bit integer)");
   return static_cast<std::uint32_t>(v);
 }
 
 std::uint64_t parse_u64_or_die(const std::string& tok,
                                const std::string& what) {
-  char* end = nullptr;
-  errno = 0;
-  const unsigned long long v = std::strtoull(tok.c_str(), &end, 10);
-  if (tok.empty() || !std::isdigit(static_cast<unsigned char>(tok[0])) ||
-      *end != '\0' || errno == ERANGE)
+  std::uint64_t v = 0;
+  if (stats::parse_u64(tok, v) != stats::u64_parse::ok)
     usage("bad " + what + " (want an unsigned 64-bit integer)");
-  return static_cast<std::uint64_t>(v);
+  return v;
 }
 
 std::vector<std::string> split_on(const std::string& s, char delim) {
