@@ -24,19 +24,19 @@ namespace anonpath::sim {
 ///        {<count> <mean> <m2> <min> <max>} x10 <errflag> [error text]
 ///   ...
 ///
-/// One record per line (each `cell` record above is one line). An unsharded journal has no shard line and its
-/// indices run strictly 0,1,2,... (a strict prefix of the grid's cell
-/// list — the writer flushes cells only in order). A shard i of n journals
-/// exactly the cells whose absolute grid index is congruent to i mod n, in
-/// order, under an explicit `shard i n` header line; absolute indices make
-/// shard journals mergeable back into the unsharded cell list with no
-/// renumbering. The scope line is FNV-1a over the trace config block of
-/// each feasible cell plus the run parameters (see campaign_scope); it
-/// does NOT cover the shard split — all shards of one campaign share a
-/// scope, which is what lets merge_campaign verify they belong together.
-/// The scenario itself is not serialized: the grid reconstructs it from
-/// the index. Every record's <replicas> must equal the campaign's and no
-/// summary count may exceed it.
+/// One record per line (each `cell` record above is one line). An unsharded
+/// journal has no shard line and its indices run strictly 0,1,2,... (a
+/// strict prefix of the grid's cell list — the writer flushes cells only in
+/// order). A shard i of n journals exactly the cells whose absolute grid
+/// index is congruent to i mod n, in order, under an explicit `shard i n`
+/// header line; absolute indices make shard journals mergeable back into
+/// the unsharded cell list with no renumbering. The scope line is FNV-1a
+/// over the trace config block of each feasible cell plus the run
+/// parameters (see campaign_scope); it does NOT cover the shard split — all
+/// shards of one campaign share a scope, which is what lets merge_campaign
+/// verify they belong together. The scenario itself is not serialized: the
+/// grid reconstructs it from the index. Every record's <replicas> must
+/// equal the campaign's and no summary count may exceed it.
 ///
 /// Recovery contract: the final line of a file whose writer was killed
 /// mid-append may be incomplete; read_checkpoint discards a malformed

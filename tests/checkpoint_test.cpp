@@ -93,7 +93,8 @@ TEST(CampaignScope, EverySingleFieldPerturbationMovesTheScope) {
        [](G& g) { g.retries = {sim::retry_policy{2, 0.1, 2.0, 1.0}}; }},
       {"populations", [](G& g) { g.populations[1] = 30; }},
       {"session_rounds", [](G& g) { g.session_rounds[1] = 12; }},
-      {"attacks", [](G& g) { g.attacks[1] = attack::attack_kind::sequential_bayes; }},
+      {"attacks",
+       [](G& g) { g.attacks[1] = attack::attack_kind::sequential_bayes; }},
       {"streams", [](G& g) {
          g.streams = {workload::stream_backend::exact,
                       workload::stream_backend::sketch};
