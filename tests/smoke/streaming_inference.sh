@@ -1,5 +1,5 @@
 #!/usr/bin/env bash
-# Streaming inference smoke (1e6 users, online==offline), registered with
+# Streaming inference smoke (1e6 users, sketch backend), registered with
 # ctest under the `smoke` label:
 #
 #   tests/smoke/streaming_inference.sh path/to/anonpath
@@ -9,22 +9,14 @@
 set -eo pipefail
 anonpath=${1:?usage: streaming_inference.sh ANONPATH_BINARY}
 
-# Online sketch-backed disclosure at 1e6 users: the sharded
-# accumulators (exact and sketch) must agree with round-by-round
-# online ingestion bit for bit, the count-min bound must hold with
-# no undercounts, and the sketch engine must be strictly smaller
-# than the exact accumulator (memory sublinear in the population).
+# Online sketch-backed disclosure at 1e6 users: the sketch engine must
+# name the exact engine's top receiver. The sharded-accumulator,
+# count-min bound and memory cross-checks at this size are
+# StreamingScale.CrossChecksHold in tests/streaming_test.cpp.
 "$anonpath" attack --users 1000000 --rounds 3000 \
   --round-size 8 --attack sda --seed 42 --threads 8 \
   --stream sketch --every 500 > stream-scale.csv 2> stream-scale.log
-grep -q "accumulator cross-check (8 threads over 3000 rounds): identical" stream-scale.log
-grep -q "online==offline: final posterior bit-identical" stream-scale.log
-grep -q "no undercounts" stream-scale.log
 grep -q "matches exact" stream-scale.log
-sketch=$(sed -n 's/^# memory: sketch engine \([0-9]*\) bytes.*/\1/p' stream-scale.log)
-exact=$(sed -n 's/.* exact accumulator \([0-9]*\) bytes.*/\1/p' stream-scale.log)
-echo "sketch engine: $sketch bytes, exact accumulator: $exact bytes"
-test -n "$sketch" && test -n "$exact" && test "$sketch" -lt "$exact"
 # The campaign stream axis: sketch cells ride next to exact cells,
 # thread-invariant, and the CSV grows the stream column only when
 # the axis is actually swept.

@@ -9,7 +9,9 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <cstring>
 #include <map>
+#include <ostream>
 #include <string>
 #include <vector>
 
@@ -412,6 +414,25 @@ TEST(OnlineAttack, ConfigValidationRejectsIncoherentSessions) {
   EXPECT_FALSE(bad.valid());
 }
 
+TEST(OnlineAttack, ContractMessageNamesTheSourceFromTheRepositoryRoot) {
+  // The build maps the source root out of __FILE__, so a contract failure
+  // (which a campaign journals and renders into its CSV error column) reads
+  // the same from every checkout.
+  attack::online_config cfg;
+  cfg.stride = 0;
+  try {
+    attack::online_attack session(10, cfg);
+    FAIL() << "stride 0 was accepted";
+  } catch (const contract_violation& e) {
+    const std::string what = e.what();
+    const std::size_t at = what.rfind(" at ");
+    ASSERT_NE(at, std::string::npos) << what;
+    EXPECT_NE(what.find(" at src/attack/online.cpp:"), std::string::npos)
+        << what;
+    EXPECT_NE(what[at + 4], '/') << what;
+  }
+}
+
 TEST(SketchSda, FromAccumulatorEqualsOnlineIngestion) {
   const workload::population pop(stream_config());
   workload::streaming_config scfg;
@@ -630,6 +651,101 @@ TEST(SdaAttack, ConfidenceIsFiniteUnderDegenerateBackground) {
   EXPECT_EQ(z[0], 0.0) << "certain-null receiver carries no surprise";
   EXPECT_GT(z[1], 0.0) << "the actual target receiver stays positive";
 }
+
+// ---- the streaming identities at population scale --------------------------
+// The small-instance tests above pin each identity on a few hundred
+// receivers. These re-assert them at the sizes of the streaming smokes,
+// where eight threads split the stream into shards and the count-min
+// sketches collide.
+
+struct scale_case {
+  const char* name;
+  std::uint32_t users;  ///< senders and receivers alike
+  std::uint32_t rounds;
+  std::uint32_t round_size;
+};
+
+void PrintTo(const scale_case& c, std::ostream* os) { *os << c.name; }
+
+class StreamingScale : public ::testing::TestWithParam<scale_case> {};
+
+bool same_bits(const std::vector<double>& a, const std::vector<double>& b) {
+  return a.size() == b.size() &&
+         std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0;
+}
+
+TEST_P(StreamingScale, CrossChecksHold) {
+  const scale_case& c = GetParam();
+  workload::population_config cfg;
+  cfg.seed = 42;
+  cfg.user_count = c.users;
+  cfg.receiver_count = c.users;
+  cfg.round_count = c.rounds;
+  cfg.round_size = c.round_size;
+  const workload::population pop(cfg);
+  const std::uint32_t n = cfg.receiver_count;
+  workload::cooccurrence_config ccfg;
+  ccfg.threads = 8;
+
+  // 1. The sharded exact accumulation, rebuilt through from_counts, equals
+  //    the online session bit for bit.
+  attack::sda_attack exact(n);
+  const std::vector<double> exact_online =
+      attack::run_workload_attack(pop, 0, exact, 0.99, c.rounds)
+          .final_posterior;
+  const workload::streaming_accumulator exact_acc =
+      workload::accumulate_streaming(pop, 0, c.rounds, {}, ccfg);
+  const workload::cooccurrence_result totals = exact_acc.totals();
+  EXPECT_EQ(totals.rounds, c.rounds);
+  EXPECT_TRUE(same_bits(
+      attack::sda_attack::from_counts(totals, 0, n).posterior(), exact_online))
+      << "sharded exact accumulator diverged from the online session";
+
+  // 2. The same for the sketch backend, through from_accumulator.
+  attack::sketch_sda_attack sketch(n);
+  const std::vector<double> sketch_online =
+      attack::run_workload_attack(pop, 0, sketch, 0.99, c.rounds)
+          .final_posterior;
+  workload::streaming_config scfg;
+  scfg.backend = workload::stream_backend::sketch;
+  EXPECT_TRUE(same_bits(
+      attack::sketch_sda_attack::from_accumulator(
+          workload::accumulate_streaming(pop, 0, c.rounds, scfg, ccfg), 0, n)
+          .posterior(),
+      sketch_online))
+      << "sharded sketch accumulator diverged from the online session";
+
+  // 3. Count-min never undercounts; 4. each key overcounts past the bound
+  //    with probability at most 2^-depth, so across all keys allow twice
+  //    the expected number of violations.
+  std::uint64_t undercounts = 0, over_bound = 0;
+  for (const auto& [receiver, count] : totals.global_receiver_counts) {
+    const std::uint64_t est = sketch.estimate_global(receiver);
+    if (est < count) ++undercounts;
+    else if (est - count > sketch.error_bound()) ++over_bound;
+  }
+  const std::size_t keys = totals.global_receiver_counts.size();
+  ASSERT_GT(keys, 0u);
+  EXPECT_EQ(undercounts, 0u);
+  const double allowance =
+      2.0 * std::ldexp(static_cast<double>(keys),
+                       -static_cast<int>(sketch.params().depth)) +
+      1.0;
+  EXPECT_LE(static_cast<double>(over_bound), allowance)
+      << over_bound << "/" << keys << " keys over the per-key bound "
+      << sketch.error_bound();
+
+  // 5. The sketch engine is smaller than the exact accumulator.
+  EXPECT_LT(sketch.memory_bytes(), exact_acc.memory_bytes());
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    SmokeSizes, StreamingScale,
+    ::testing::Values(scale_case{"users1e5_rounds1e4", 100000, 10000, 12},
+                      scale_case{"users1e6_rounds3000", 1000000, 3000, 8}),
+    [](const ::testing::TestParamInfo<scale_case>& info) {
+      return std::string(info.param.name);
+    });
 
 }  // namespace
 }  // namespace anonpath

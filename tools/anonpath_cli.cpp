@@ -17,7 +17,7 @@
 //   anonpath capture  --n 60 --c 2 --dist U:2,14 --out run.trace
 //   anonpath replay   --in run.trace                re-score a captured run
 //   anonpath attack   --users 100000 --rounds 10000 --round-size 12 \
-//                     --attack sda --threads 8      longitudinal disclosure
+//                     --attack sda                  longitudinal disclosure
 //   anonpath simulate --n 60 --c 2 --population 20 --rounds 50 --attack bayes
 //   anonpath campaign --n 30 --c 2 --population 0,20 --rounds 0,50 \
 //                     --attack none,sda             session axes
@@ -60,6 +60,7 @@
 
 #include <algorithm>
 #include <cerrno>
+#include <chrono>
 #include <cmath>
 #include <csignal>
 #include <cstdio>
@@ -75,16 +76,11 @@
 #include <utility>
 #include <vector>
 
-#include <chrono>
-#include <thread>
-
 #include "src/anonymity/analytic.hpp"
 #include "src/anonymity/monte_carlo.hpp"
 #include "src/anonymity/optimizer.hpp"
 #include "src/anonymity/path_sampler.hpp"
 #include "src/attack/disclosure.hpp"
-#include "src/attack/online.hpp"
-#include "src/attack/sda.hpp"
 #include "src/attack/sketch_sda.hpp"
 #include "src/net/churn.hpp"
 #include "src/net/route_plan.hpp"
@@ -101,7 +97,6 @@
 #include "src/sim/trace.hpp"
 #include "src/stats/error.hpp"
 #include "src/stats/token_codec.hpp"
-#include "src/workload/cooccurrence.hpp"
 #include "src/workload/population.hpp"
 #include "src/workload/streaming.hpp"
 
@@ -1027,9 +1022,8 @@ int cmd_attack(const options& opt) {
       opt.attack_list.front() == attack::attack_kind::none)
     usage("attack requires --attack intersection|sda|bayes");
   const attack::attack_kind kind = opt.attack_list.front();
-  // --stream asks for the online conformance report (exact: the
-  // online==offline identity; sketch: the sketched engine plus its bound
-  // and memory cross-checks), which only the counting attack defines.
+  // --stream sketch also runs the sketch-backed engine, which only the
+  // counting attack defines; the trajectory always comes from the exact one.
   const bool stream_set = !opt.stream_list.empty();
   const workload::stream_backend stream =
       stream_set ? opt.stream_list.front() : workload::stream_backend::exact;
@@ -1060,8 +1054,8 @@ int cmd_attack(const options& opt) {
   obs::metrics_registry reg;
   obs::tracer tracer;
   obs::tracer* const tp = opt.metrics_path.empty() ? nullptr : &tracer;
-  // Every phase below (exact session, cross-checks, sketch session) nests
-  // under this one root, closed before the snapshot is written.
+  // Every phase below (the exact session, the sketch session) nests under
+  // this one root, closed before the snapshot is written.
   std::optional<obs::span> root(std::in_place, tp, "attack.run");
 
   const workload::population pop(cfg);
@@ -1093,9 +1087,13 @@ int cmd_attack(const options& opt) {
   obs::progress_meter progress("attack rounds", cfg.round_count,
                                opt.progress);
   progress.advance(0);
+  // Each engine runs once over the round stream, as one attack.ingest span.
+  const auto run_engine = [&](attack::disclosure_attack& e) {
+    obs::span ingest_span(tp, "attack.ingest");
+    return attack::run_workload_attack(pop, 0, e, opt.threshold, stride);
+  };
   const auto t0 = std::chrono::steady_clock::now();
-  const attack::attack_result result =
-      attack::run_workload_attack(pop, 0, *engine, opt.threshold, stride);
+  const attack::attack_result result = run_engine(*engine);
   const auto t1 = std::chrono::steady_clock::now();
   progress.advance(cfg.round_count);
   if (tp != nullptr) {
@@ -1132,156 +1130,31 @@ int cmd_attack(const options& opt) {
                  result.rounds, result.top_receiver, result.top_mass,
                  result.entropy_bits);
 
-  if (kind == attack::attack_kind::sda && (opt.threads != 1 || stream_set)) {
-    // The sharded population-scale path must reproduce the streaming counts
-    // bit for bit; a mismatch is a determinism bug, reported loudly.
-    workload::cooccurrence_config ccfg;
-    ccfg.threads = opt.threads;
-    workload::cooccurrence_result totals;
-    std::size_t exact_bytes = 0;
-    {
-      obs::span check_span(tp, "attack.crosscheck");
-      const workload::streaming_accumulator exact_acc =
-          workload::accumulate_streaming(pop, 0, cfg.round_count,
-                                         workload::streaming_config{}, ccfg);
-      totals = exact_acc.totals();
-      exact_bytes = exact_acc.memory_bytes();
-      const attack::sda_attack parallel_sda =
-          attack::sda_attack::from_counts(totals, 0, cfg.receiver_count);
-      if (parallel_sda.posterior() != result.final_posterior) {
-        std::fprintf(stderr,
-                     "# ERROR: sharded accumulator diverged from streaming "
-                     "counts\n");
-        return 1;
-      }
-    }
+  if (stream == workload::stream_backend::sketch) {
+    // The sketch backend's own session over the same round stream.
+    attack::sketch_sda_attack sketch(cfg.receiver_count);
+    const attack::attack_result sres = run_engine(sketch);
     if (tp != nullptr) {
-      reg.add_counter("stream.rounds_accumulated", totals.rounds);
-      reg.set_gauge("stream.exact_memory_bytes",
-                    static_cast<double>(exact_bytes));
+      reg.set_gauge("stream.memory_bytes",
+                    static_cast<double>(sketch.memory_bytes()));
+      reg.set_gauge("stream.sketch_occupied_cells",
+                    static_cast<double>(sketch.occupied_cells()));
+      reg.set_gauge("stream.candidates_retained",
+                    static_cast<double>(sketch.candidates().size()));
+      // Ingest-order-dependent telemetry: recorded only on this
+      // single-threaded session, never compared across thread counts.
+      reg.add_counter("stream.reservoir_evictions",
+                      sketch.reservoir_evictions());
     }
     std::fprintf(stderr,
-                 "# accumulator cross-check (%u threads over %llu rounds): "
-                 "identical\n",
-                 opt.threads != 0 ? opt.threads
-                                  : std::thread::hardware_concurrency(),
-                 static_cast<unsigned long long>(totals.rounds));
-    if (stream_set)
-      std::fprintf(stderr,
-                   "# online==offline: final posterior bit-identical "
-                   "(exact backend)\n");
-
-    if (stream == workload::stream_backend::sketch) {
-      // Online sketched session over the same round stream.
-      attack::online_config ocfg;
-      ocfg.kind = kind;
-      ocfg.backend = workload::stream_backend::sketch;
-      ocfg.identified_threshold = opt.threshold;
-      ocfg.stride = stride;
-      attack::online_attack online(cfg.receiver_count, ocfg);
-      {
-        obs::span ingest_span(tp, "attack.ingest");
-        attack::round_observation round_obs;
-        const node_id target_sender = pop.pairs().front().sender;
-        for (std::uint32_t r = 0; r < cfg.round_count; ++r) {
-          const workload::round_batch batch = pop.round(r);
-          round_obs.target_present =
-              std::find(batch.senders.begin(), batch.senders.end(),
-                        target_sender) != batch.senders.end();
-          round_obs.receivers = batch.receivers;
-          online.ingest(round_obs);
-        }
-      }
-      const attack::attack_result sres = online.result();
-
-      // The sharded sketch accumulation must reproduce online ingestion
-      // bit for bit — same contract as the exact path above.
-      {
-        obs::span check_span(tp, "attack.crosscheck");
-        workload::streaming_config scfg;
-        scfg.backend = workload::stream_backend::sketch;
-        const workload::streaming_accumulator sketch_acc =
-            workload::accumulate_streaming(pop, 0, cfg.round_count, scfg,
-                                           ccfg);
-        const attack::sketch_sda_attack sharded =
-            attack::sketch_sda_attack::from_accumulator(sketch_acc, 0,
-                                                        cfg.receiver_count);
-        if (sharded.posterior() != sres.final_posterior) {
-          std::fprintf(stderr,
-                       "# ERROR: sharded sketch accumulator diverged from "
-                       "online ingestion\n");
-          return 1;
-        }
-      }
-      const auto& online_sketch =
-          static_cast<const attack::sketch_sda_attack&>(online.engine());
-      if (tp != nullptr) {
-        reg.set_gauge("stream.memory_bytes",
-                      static_cast<double>(online.memory_bytes()));
-        reg.set_gauge("stream.sketch_occupied_cells",
-                      static_cast<double>(online_sketch.occupied_cells()));
-        reg.set_gauge("stream.candidates_retained",
-                      static_cast<double>(online_sketch.candidates().size()));
-        // Ingest-order-dependent telemetry: recorded only on this
-        // single-threaded online path, never compared across thread counts.
-        reg.add_counter("stream.reservoir_evictions",
-                        online_sketch.reservoir_evictions());
-      }
-
-      // Count-min conformance against the exact counts: estimates never
-      // undercount (worst-case), and each key overcounts past the bound
-      // with probability at most 2^-depth — so across all keys, allow
-      // twice that expected violation count before calling it a bug.
-      std::uint64_t max_over = 0, over_bound = 0;
-      bool under = false;
-      for (const auto& [receiver, count] : totals.global_receiver_counts) {
-        const std::uint64_t est = online_sketch.estimate_global(receiver);
-        if (est < count) { under = true; continue; }
-        max_over = std::max(max_over, est - count);
-        if (est - count > online_sketch.error_bound()) ++over_bound;
-      }
-      const std::size_t keys = totals.global_receiver_counts.size();
-      const double allowance =
-          2.0 * std::ldexp(static_cast<double>(keys),
-                           -static_cast<int>(online_sketch.params().depth)) +
-          1.0;
-      if (under || static_cast<double>(over_bound) > allowance) {
-        std::fprintf(stderr,
-                     "# ERROR: sketch estimates violate the count-min "
-                     "bound (%llu/%zu keys over bound %llu, allowance "
-                     "%.0f%s)\n",
-                     static_cast<unsigned long long>(over_bound), keys,
-                     static_cast<unsigned long long>(
-                         online_sketch.error_bound()),
-                     allowance, under ? ", undercount seen" : "");
-        return 1;
-      }
-      std::fprintf(stderr,
-                   "# sketch bound check: %llu/%zu keys over the per-key "
-                   "bound %llu (allowance %.0f), max overestimate %llu, "
-                   "no undercounts\n",
-                   static_cast<unsigned long long>(over_bound), keys,
-                   static_cast<unsigned long long>(
-                       online_sketch.error_bound()),
-                   allowance, static_cast<unsigned long long>(max_over));
-
-      std::fprintf(stderr,
-                   "# sketch posterior (%s, %zu candidates%s): top receiver "
-                   "%u (%s exact), H = %.4f bits\n",
-                   online_sketch.params().label().c_str(),
-                   online_sketch.candidates().size(),
-                   online_sketch.candidates_saturated() ? ", saturated" : "",
-                   sres.top_receiver,
-                   sres.top_receiver == result.top_receiver
-                       ? "matches" : "DIFFERS from",
-                   sres.entropy_bits);
-      std::fprintf(stderr,
-                   "# memory: sketch engine %zu bytes, exact accumulator "
-                   "%zu bytes (exact/sketch ratio %.2f)\n",
-                   online.memory_bytes(), exact_bytes,
-                   static_cast<double>(exact_bytes) /
-                       static_cast<double>(online.memory_bytes()));
-    }
+                 "# sketch posterior (%s, %zu candidates%s): top receiver "
+                 "%u (%s exact), H = %.4f bits\n",
+                 sketch.params().label().c_str(), sketch.candidates().size(),
+                 sketch.candidates_saturated() ? ", saturated" : "",
+                 sres.top_receiver,
+                 sres.top_receiver == result.top_receiver ? "matches"
+                                                          : "DIFFERS from",
+                 sres.entropy_bits);
   }
   root.reset();
   if (tp != nullptr)
@@ -1577,7 +1450,7 @@ const flag_row k_flags[] = {
      "longitudinal disclosure attack"},
     {"--stream", shape::axis, "exact | sketch", k_sim | k_attack,
      append<&options::stream_list, parse_stream>,
-     "sda accumulator backend (attack: the online conformance report)"},
+     "sda accumulator backend (attack: sketch also runs the sketch engine)"},
     {"--receiver-law", shape::single, "uniform | zipf:<s>", k_sim | k_attack,
      [](options& o, const arg& a) {
        o.receiver_law = parse_law(a);
@@ -1612,7 +1485,8 @@ const flag_row k_flags[] = {
      "replicas per cell (default 8)"},
     {"--threads", shape::single, "<t>", k_estimate | k_campaign | k_attack,
      [](options& o, const arg& a) { o.threads = a.u32(); },
-     "worker threads (default 0, all cores; attack: the sda cross-check)"},
+     "worker threads (default 0, all cores; attack: unused, its engines "
+     "are sequential)"},
     {"--via-trace", shape::toggle, "", k_campaign,
      [](options& o, const arg&) { o.via_trace = true; },
      "score every run through a captured trace"},
