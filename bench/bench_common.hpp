@@ -2,8 +2,9 @@
 
 // Shared main() for reproduction benches: first print the paper figure's
 // data series (the reproduction deliverable), then run the registered
-// google-benchmark timings. Define ANONPATH_BENCH_EMIT as a function
-// `void emit()` before including, or use the macro below.
+// google-benchmark timings. A bench's main() returns
+// `figure_main(argc, argv, emit)`, where `emit(std::ostream&)` prints the
+// series.
 
 #include <benchmark/benchmark.h>
 

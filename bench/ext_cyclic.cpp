@@ -2,6 +2,9 @@
 // Crowds and Onion Routing II allow cycles; Freedom forbids them. This bench
 // quantifies what cycles are worth, exactly, on a small system where both
 // models can be enumerated exhaustively.
+//
+// Kept as a binary because this exact table has no CLI path;
+// tests/smoke/extensions.sh checks that cyclic >= simple in every row.
 
 #include <benchmark/benchmark.h>
 

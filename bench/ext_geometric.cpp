@@ -2,6 +2,9 @@
 // — the paper's Theorem 2 family — compared at equal mean against fixed,
 // uniform, and the optimum. Answers "is the Crowds coin a good length
 // distribution?" quantitatively.
+//
+// Kept as a binary because this exact table has no CLI path;
+// tests/smoke/extensions.sh checks Opt >= Geom, F and bestU in every row.
 
 #include <benchmark/benchmark.h>
 

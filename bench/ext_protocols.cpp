@@ -4,6 +4,9 @@
 // distribution at the same mean cost. This is the paper's concluding point:
 // "several existing anonymous communication systems are not using the best
 // path selection strategy".
+//
+// Kept as a binary because this exact table has no CLI path;
+// tests/smoke/extensions.sh checks the headroom and the log2(N) ceiling.
 
 #include <benchmark/benchmark.h>
 

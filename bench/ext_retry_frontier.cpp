@@ -14,6 +14,9 @@
 // scored messages only would show the opposite slope — retries push
 // weakly-observed messages into the scored set and its mean can rise even
 // as total uncertainty falls (a selection effect, not an anonymity gain).
+//
+// Kept as a binary because the campaign CSV's entropy_bits covers scored
+// messages only; tests/smoke/extensions.sh checks this series' claims.
 
 #include <benchmark/benchmark.h>
 

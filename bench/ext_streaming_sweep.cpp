@@ -7,6 +7,9 @@
 // conformance-pinned to the exact engine. This sweep maps that trade-off:
 // engine memory and posterior agreement as the receiver population grows
 // with the observation stream held fixed.
+//
+// Kept as a binary because no CLI prints engine bytes;
+// tests/smoke/extensions.sh checks this series' claims.
 
 #include <benchmark/benchmark.h>
 
