@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <utility>
 
 #include "src/attack/intersection.hpp"
 #include "src/attack/online.hpp"
@@ -133,6 +134,16 @@ std::optional<trajectory_point> summarize_classes(
   return pt;
 }
 
+trajectory_point summarize_uniform(std::uint32_t receiver_count,
+                                   std::uint32_t round,
+                                   double identified_threshold) {
+  ANONPATH_EXPECTS(receiver_count >= 1);
+  // Weight 1 normalizes by exactly receiver_count, so each member's mass is
+  // the dense entry 1.0 / receiver_count.
+  const weight_class all{1.0, receiver_count, 0};
+  return *summarize_classes({&all, 1}, round, identified_threshold);
+}
+
 std::optional<trajectory_point> summarize_sparse(
     const std::vector<node_id>& support, const std::vector<double>& weights,
     std::uint32_t round, double identified_threshold) {
@@ -170,30 +181,49 @@ double estimated_membership_noise(const workload::population& pop,
   return std::min(noise, 0.99);
 }
 
-attack_result run_workload_attack(const workload::population& pop,
-                                  std::uint32_t pair_index,
-                                  disclosure_attack& attack,
-                                  double identified_threshold,
-                                  std::uint32_t stride) {
+std::vector<attack_result> run_workload_attack(
+    const workload::population& pop, std::uint32_t pair_index,
+    std::span<disclosure_attack* const> engines, double identified_threshold,
+    std::uint32_t stride) {
   ANONPATH_EXPECTS(pair_index < pop.pairs().size());
-  ANONPATH_EXPECTS(attack.receiver_count() == pop.config().receiver_count);
   const node_id target = pop.pairs()[pair_index].sender;
   const std::uint32_t rounds = pop.config().round_count;
 
   // The offline post-process IS the online session fed to the end of the
   // stream — one trajectory/identification implementation, so the
   // online == offline bit-identity holds by construction.
-  online_attack online(attack, identified_threshold, stride);
+  std::vector<online_attack> sessions;
+  sessions.reserve(engines.size());
+  for (disclosure_attack* engine : engines) {
+    ANONPATH_EXPECTS(engine != nullptr &&
+                     engine->receiver_count() == pop.config().receiver_count);
+    sessions.emplace_back(*engine, identified_threshold, stride);
+  }
   round_observation obs;
   for (std::uint32_t r = 0; r < rounds; ++r) {
-    const workload::round_batch batch = pop.round(r);
+    workload::round_batch batch = pop.round(r);
     obs.target_present =
         std::find(batch.senders.begin(), batch.senders.end(), target) !=
         batch.senders.end();
-    obs.receivers = batch.receivers;
-    online.ingest(obs);
+    obs.receivers = std::move(batch.receivers);
+    for (online_attack& session : sessions) session.ingest(obs);
   }
-  return online.result();
+  std::vector<attack_result> results;
+  results.reserve(sessions.size());
+  for (const online_attack& session : sessions)
+    results.push_back(session.result());
+  return results;
+}
+
+attack_result run_workload_attack(const workload::population& pop,
+                                  std::uint32_t pair_index,
+                                  disclosure_attack& attack,
+                                  double identified_threshold,
+                                  std::uint32_t stride) {
+  disclosure_attack* const engines[] = {&attack};
+  return std::move(run_workload_attack(pop, pair_index, engines,
+                                       identified_threshold, stride)
+                       .front());
 }
 
 }  // namespace anonpath::attack

@@ -110,11 +110,11 @@ class disclosure_attack {
 };
 
 /// A completed longitudinal run: the entropy/identified trajectory plus the
-/// final state. `identified_round` is the first sampled round whose top
-/// mass exceeded the threshold (nullopt if never).
+/// final point's summary fields. `identified_round` is the first sampled
+/// round whose top mass exceeded the threshold (nullopt if never). The
+/// final posterior itself stays with the engine (posterior()).
 struct attack_result {
   std::vector<trajectory_point> trajectory;
-  std::vector<double> final_posterior;
   std::uint32_t rounds = 0;
   std::optional<std::uint32_t> identified_round;
   node_id top_receiver = 0;
@@ -179,6 +179,14 @@ struct weight_class {
     std::span<const weight_class> classes, std::uint32_t round,
     double identified_threshold);
 
+/// summarize_posterior of the uniform posterior over `receiver_count`
+/// receivers — the engines' no-evidence fallback — as one weight class, in
+/// O(1) and bit-identical to the dense point. Precondition: receiver_count
+/// >= 1.
+[[nodiscard]] trajectory_point summarize_uniform(std::uint32_t receiver_count,
+                                                 std::uint32_t round,
+                                                 double identified_threshold);
+
 /// summarize_classes with one class per `support` entry (ascending receiver
 /// ids), `weights` parallel to it. Precondition: weights.size() ==
 /// support.size().
@@ -186,12 +194,20 @@ struct weight_class {
     const std::vector<node_id>& support, const std::vector<double>& weights,
     std::uint32_t round, double identified_threshold);
 
-/// Streams every round of `pop` into `attack`, tracking persistent pair
-/// `pair_index`, with a trajectory point every `stride` rounds (and always
-/// at the last round). Crisp membership (no per-message weights — the mix
-/// rounds themselves are the evidence). Preconditions: pair_index <
-/// pop.pairs().size(); attack.receiver_count() == pop receiver_count;
-/// stride >= 1; threshold in (0, 1).
+/// Streams every round of `pop` into each of `engines`, tracking persistent
+/// pair `pair_index`, with a trajectory point every `stride` rounds (and
+/// always at the last round); one attack_result per engine, in order. Each
+/// round is generated once and fed to every engine, so several engines cost
+/// one pass over the stream. Crisp membership (no per-message weights — the
+/// mix rounds themselves are the evidence). Preconditions: pair_index <
+/// pop.pairs().size(); every engine non-null with receiver_count() == pop
+/// receiver_count; stride >= 1; threshold in (0, 1).
+[[nodiscard]] std::vector<attack_result> run_workload_attack(
+    const workload::population& pop, std::uint32_t pair_index,
+    std::span<disclosure_attack* const> engines, double identified_threshold,
+    std::uint32_t stride = 1);
+
+/// The one-engine run.
 [[nodiscard]] attack_result run_workload_attack(
     const workload::population& pop, std::uint32_t pair_index,
     disclosure_attack& attack, double identified_threshold,

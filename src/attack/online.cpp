@@ -56,7 +56,6 @@ attack_result online_attack::result() const {
       res.identified_round = pt.round;
     res.trajectory.push_back(pt);
   }
-  res.final_posterior = engine_->posterior();
   const trajectory_point& last = res.trajectory.back();
   res.top_receiver = last.top_receiver;
   res.top_mass = last.top_mass;

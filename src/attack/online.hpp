@@ -80,8 +80,9 @@ class online_attack {
 
   /// The completed-run view at the current position: the stride-sampled
   /// trajectory (always including a final point at the current round, even
-  /// for an empty stream), final posterior, and summary fields — exactly
-  /// what the offline post-process returns on the same stream.
+  /// for an empty stream) and its summary fields — exactly what the offline
+  /// post-process returns on the same stream. The posterior stays a
+  /// separate query (posterior()), so a result costs no dense vector.
   [[nodiscard]] attack_result result() const;
 
   [[nodiscard]] const disclosure_attack& engine() const noexcept {

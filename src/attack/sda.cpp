@@ -240,7 +240,9 @@ node_id sda_attack::first_with(std::uint64_t target_count,
 
 trajectory_point sda_attack::summarize(std::uint32_t round,
                                        double identified_threshold) const {
-  if (target_messages_ == 0 || mean_batch() < 1.0)
+  if (target_messages_ == 0)
+    return summarize_uniform(receiver_count_, round, identified_threshold);
+  if (mean_batch() < 1.0)
     return disclosure_attack::summarize(round, identified_threshold);
   class_weights cw = weight_classes(mean_batch());
   std::vector<weight_class>& classes = cw.classes;
@@ -261,7 +263,7 @@ trajectory_point sda_attack::summarize(std::uint32_t round,
   }
   if (auto pt = summarize_classes(classes, round, identified_threshold))
     return *pt;
-  return disclosure_attack::summarize(round, identified_threshold);
+  return summarize_uniform(receiver_count_, round, identified_threshold);
 }
 
 namespace {

@@ -155,8 +155,8 @@ class sda_attack final : public disclosure_attack {
   /// A class whose recorded smallest member has left is rescanned (from
   /// that id up) only when it reaches the top mass, and the result is
   /// written back, so each departure costs at most one scan. The uniform
-  /// fallback, and m̄ < 1 (reachable only through from_counts), take the
-  /// dense default.
+  /// fallback is one class (summarize_uniform); m̄ < 1 (reachable only
+  /// through from_counts) takes the dense default.
   [[nodiscard]] trajectory_point summarize(
       std::uint32_t round, double identified_threshold) const override;
 

@@ -23,16 +23,18 @@ void sketch_sda_attack::observe_round(const round_observation& round) {
   // accumulator's, which indexes by the batch's own round number.
   const std::uint64_t round_index = rounds_seen_++;
   if (round.receivers.empty()) return;
-  for (node_id v : round.receivers) {
-    ANONPATH_EXPECTS(v < receiver_count_);
-    global_.add(v);
-  }
+  for (node_id v : round.receivers) ANONPATH_EXPECTS(v < receiver_count_);
   total_messages_ += round.receivers.size();
-  if (!round.target_present) return;
+  if (!round.target_present) {
+    for (node_id v : round.receivers) global_.add(v);
+    return;
+  }
   ++target_rounds_;
   target_messages_ += round.receivers.size();
   for (std::size_t j = 0; j < round.receivers.size(); ++j) {
-    target_.add(round.receivers[j]);
+    // global_ and target_ share depth, width and salt: one hash per row
+    // bumps both.
+    global_.add_twin(round.receivers[j], target_);
     candidates_.offer(round.receivers[j],
                       workload::occurrence_priority(params_.salt, round_index,
                                                     j));
@@ -90,15 +92,15 @@ std::vector<double> sketch_sda_attack::candidate_signal(
 
 trajectory_point sketch_sda_attack::summarize(
     std::uint32_t round, double identified_threshold) const {
-  // posterior() is +0 off the candidates whatever m̄ is, so only the
-  // uniform fallback needs the dense default.
+  // posterior() is +0 off the candidates whatever m̄ is, and uniform
+  // where the candidates carry no positive signal.
   if (target_messages_ > 0) {
     const std::vector<node_id> keys = candidates();
     if (auto pt = summarize_sparse(keys, candidate_signal(keys), round,
                                    identified_threshold))
       return *pt;
   }
-  return disclosure_attack::summarize(round, identified_threshold);
+  return summarize_uniform(receiver_count_, round, identified_threshold);
 }
 
 std::size_t sketch_sda_attack::memory_bytes() const noexcept {

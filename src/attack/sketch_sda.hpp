@@ -43,8 +43,8 @@ class sketch_sda_attack final : public disclosure_attack {
   }
 
   /// Bit-identical to summarizing posterior(), at O(candidates): the dense
-  /// posterior is +0 off the reservoir. The uniform fallback takes the
-  /// dense default.
+  /// posterior is +0 off the reservoir, and the uniform fallback is one
+  /// weight class (summarize_uniform).
   [[nodiscard]] trajectory_point summarize(
       std::uint32_t round, double identified_threshold) const override;
 

@@ -68,6 +68,13 @@ class rng {
 };
 
 /// SplitMix64 step; exposed for tests and for seeding other components.
-[[nodiscard]] std::uint64_t splitmix64(std::uint64_t& state) noexcept;
+/// Inline: the sketches hash every delivery through it.
+[[nodiscard]] inline std::uint64_t splitmix64(std::uint64_t& state) noexcept {
+  state += 0x9e3779b97f4a7c15ULL;
+  std::uint64_t z = state;
+  z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
+  z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
+  return z ^ (z >> 31);
+}
 
 }  // namespace anonpath::stats

@@ -1,8 +1,7 @@
 #pragma once
 
+#include <bit>
 #include <cstdint>
-#include <map>
-#include <set>
 #include <string>
 #include <utility>
 #include <vector>
@@ -17,12 +16,14 @@ namespace anonpath::workload {
 /// every platform, thread count, and ingest order.
 struct sketch_params {
   std::uint32_t depth = 4;         ///< count-min rows (error prob ~ 2^-depth)
-  std::uint32_t width = 4096;      ///< counters per row (error ~ 2N/width)
+  std::uint32_t width = 4096;      ///< counters per row, a power of two
+                                   ///< (error ~ 2N/width)
   std::uint32_t candidates = 512;  ///< bottom-k distinct-receiver sample size
   std::uint64_t salt = 0x1d0dca11ab1e5eedULL;  ///< hash-family seed
 
   [[nodiscard]] bool valid() const noexcept {
-    return depth >= 1 && depth <= 16 && width >= 2 && candidates >= 1;
+    return depth >= 1 && depth <= 16 && width >= 2 &&
+           std::has_single_bit(width) && candidates >= 1;
   }
 
   /// Compact label, e.g. "d4w4096k512" — stable for CSV/CLI surfaces.
@@ -39,12 +40,18 @@ struct sketch_params {
 /// and is cellwise, so sharded ingestion is bit-identical to sequential.
 class count_min_sketch {
  public:
-  /// Preconditions: depth in [1, 16]; width >= 2.
+  /// Preconditions: depth in [1, 16]; width >= 2 and a power of two (a
+  /// row index is the hash's low bits).
   count_min_sketch(std::uint32_t depth, std::uint32_t width,
                    std::uint64_t salt);
 
   /// Adds `delta` occurrences of `key`.
   void add(std::uint64_t key, std::uint64_t delta = 1);
+
+  /// Adds one occurrence of `key` here and in `twin`, hashing the key once:
+  /// same-shaped sketches index the same cells. Precondition: identical
+  /// depth, width, and salt.
+  void add_twin(std::uint64_t key, count_min_sketch& twin);
 
   /// Point estimate: min over rows. Always >= the true count of `key`.
   [[nodiscard]] std::uint64_t estimate(std::uint64_t key) const;
@@ -92,6 +99,12 @@ class count_min_sketch {
 /// sharded — so merges are deterministic and shard-invariant. Serves as
 /// the candidate-receiver reservoir of the sketch backend: the count-min
 /// sketch answers "how often", this answers "which keys to even ask about".
+///
+/// Layout: a flat max-heap of (priority, key) holding at most k entries and
+/// an open-addressing key -> heap-slot index, both allocated from k at
+/// construction. Once k entries are held, an offer ordered above the heap
+/// top changes nothing retained and costs one index probe (the skip), so a
+/// long stream is mostly skips.
 class bottom_k_sample {
  public:
   /// Preconditions: k >= 1.
@@ -121,8 +134,12 @@ class bottom_k_sample {
   [[nodiscard]] bool saturated() const noexcept { return saturated_; }
 
   [[nodiscard]] std::uint32_t k() const noexcept { return k_; }
-  [[nodiscard]] std::size_t size() const noexcept { return entries_.size(); }
-  [[nodiscard]] std::size_t memory_bytes() const noexcept;
+  [[nodiscard]] std::size_t size() const noexcept { return heap_.size(); }
+  /// Heap and index as allocated at construction: O(k), whatever the stream.
+  [[nodiscard]] std::size_t memory_bytes() const noexcept {
+    return heap_.capacity() * sizeof(entry) +
+           index_.capacity() * sizeof(slot) + sizeof(*this);
+  }
 
   /// Entries displaced from the reservoir so far (merge sums both sides'
   /// counts plus any displacements the merge itself causes). Telemetry of
@@ -132,12 +149,35 @@ class bottom_k_sample {
   [[nodiscard]] std::uint64_t evictions() const noexcept { return evictions_; }
 
  private:
+  using entry = std::pair<std::uint64_t, std::uint64_t>;  // (prio, key)
+  static constexpr std::uint32_t k_free = ~std::uint32_t{0};
+  /// An index cell: `key` sits at heap_[pos]; pos == k_free marks it empty.
+  struct slot {
+    std::uint64_t key = 0;
+    std::uint32_t pos = k_free;
+  };
+
+  /// The cell a probe for `key` starts at (Fibonacci hashing).
+  [[nodiscard]] std::size_t home(std::uint64_t key) const noexcept;
+  /// The cell holding `key`, or the empty cell ending its probe run.
+  [[nodiscard]] std::size_t find(std::uint64_t key) const noexcept;
+  /// Empties cell `i`, shifting its probe run back over the gap.
+  void erase_cell(std::size_t i) noexcept;
+  /// Writes `e` to heap_[pos] and points its key's index cell there.
+  void place(std::size_t pos, const entry& e) noexcept;
+  void sift_up(std::size_t pos) noexcept;
+  void sift_down(std::size_t pos) noexcept;
+
   std::uint32_t k_;
   std::uint64_t salt_;
   bool saturated_ = false;
   std::uint64_t evictions_ = 0;
-  std::set<std::pair<std::uint64_t, std::uint64_t>> entries_;  // (prio, key)
-  std::map<std::uint64_t, std::uint64_t> prio_of_;  // key -> retained prio
+  std::vector<entry> heap_;  ///< max-heap by (prio, key); capacity k
+  /// key -> heap position, linear probing over a power of two >= 4k cells:
+  /// at most a quarter full, so the miss that decides a skipped offer ends
+  /// after about one probe (half full took twice the reservoir time).
+  std::vector<slot> index_;
+  int shift_;  ///< 64 - log2(index_.size()): home() keeps the top bits
 };
 
 /// The salted hash both sketches are built on: SplitMix64 over a mix of

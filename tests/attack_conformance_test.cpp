@@ -568,6 +568,35 @@ TEST(SummarizeSparse, SdaRoundZeroPriorAndThinBatchAreDense) {
   expect_summary_matches_dense(thin, 4, "m-bar below one, classes present");
 }
 
+TEST(SummarizeSparse, UniformFallbackIsOneClassAtEverySize) {
+  // No target round yet: both SDA engines answer the uniform prior as one
+  // weight class, bit-identical to the dense vector at any population.
+  for (const std::uint32_t receivers : {1000000u, 300u, 7u, 2u}) {
+    const std::string what = std::to_string(receivers) + " receivers";
+    for (const double threshold : {0.4, 0.99}) {
+      const trajectory_point one = summarize_uniform(receivers, 3, threshold);
+      const trajectory_point dense = summarize_posterior(
+          std::vector<double>(receivers, 1.0 / receivers), 3, threshold);
+      EXPECT_EQ(one.round, dense.round) << what;
+      EXPECT_TRUE(same_bits(one.entropy_bits, dense.entropy_bits)) << what;
+      EXPECT_TRUE(same_bits(one.top_mass, dense.top_mass)) << what;
+      EXPECT_EQ(one.top_receiver, dense.top_receiver) << what;
+      EXPECT_EQ(one.identified, dense.identified) << what;
+    }
+    round_observation background;
+    background.receivers = {0, 1, 1};
+    sda_attack exact(receivers);
+    sketch_sda_attack sketch(receivers);
+    expect_summary_matches_dense(exact, 0, "sda prior, " + what);
+    expect_summary_matches_dense(sketch, 0, "sketch prior, " + what);
+    exact.observe_round(background);
+    sketch.observe_round(background);
+    expect_summary_matches_dense(exact, 1, "sda background only, " + what);
+    expect_summary_matches_dense(sketch, 1,
+                                 "sketch background only, " + what);
+  }
+}
+
 TEST(SummarizeSparse, SketchSdaMatchesDenseSaturatedOrNot) {
   for (std::uint64_t seed = 1; seed <= 6; ++seed) {
     const auto stream = random_stream(300, 60, 8, 12, 200 + seed);

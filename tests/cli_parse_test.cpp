@@ -411,9 +411,9 @@ TEST_F(CliParse, ObsFlagValidation) {
 }
 
 TEST_F(CliParse, AttackMetricsTraceHasASingleRoot) {
-  // 'attack' runs each engine once, as one attack.ingest span nested under
-  // the attack.run root: the exact engine alone, or the exact engine and
-  // then the sketch engine. The conformance cross-checks live in
+  // 'attack' runs its engines (the exact one, plus the sketch one with
+  // --stream sketch) in one pass over the rounds, one attack.ingest span
+  // nested under the attack.run root. The conformance cross-checks live in
   // streaming_test, not in the command.
   const std::string metrics = ::testing::TempDir() + "anonpath_attack." +
                               std::to_string(::getpid()) + ".jsonl";
@@ -433,11 +433,7 @@ TEST_F(CliParse, AttackMetricsTraceHasASingleRoot) {
     for (const anonpath::obs::span_record& span : doc.spans)
       (span.parent == 0 ? roots : children).push_back(span.name);
     EXPECT_EQ(roots, std::vector<std::string>{"attack.run"}) << stream;
-    const std::vector<std::string> expected =
-        stream == "exact"
-            ? std::vector<std::string>{"attack.ingest"}
-            : std::vector<std::string>{"attack.ingest", "attack.ingest"};
-    EXPECT_EQ(children, expected) << stream;
+    EXPECT_EQ(children, std::vector<std::string>{"attack.ingest"}) << stream;
     for (const anonpath::obs::span_record& span : doc.spans) {
       if (span.parent != 0) {
         EXPECT_EQ(span.parent, 1u) << span.name;

@@ -11,7 +11,9 @@
 #include <cstdint>
 #include <cstring>
 #include <map>
+#include <memory>
 #include <ostream>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -363,7 +365,6 @@ TEST(OnlineAttack, TrajectoryStrideAndFinalPoint) {
   ASSERT_EQ(res.trajectory.size(), 4u);
   EXPECT_EQ(res.trajectory.back().round, 24u);
   EXPECT_EQ(res.rounds, 24u);
-  EXPECT_EQ(res.final_posterior, online.posterior());
 
   // An empty stream still summarizes: one uniform point at round 0.
   attack::online_attack idle(pop.config().receiver_count, ocfg);
@@ -387,7 +388,7 @@ TEST(OnlineAttack, RunWorkloadAttackEqualsManualSession) {
   for (std::uint32_t r = 0; r < pop.config().round_count; ++r)
     online.ingest(observe(pop, 1, r));
   const attack::attack_result res = online.result();
-  EXPECT_EQ(res.final_posterior, offline.final_posterior);
+  EXPECT_EQ(online.posterior(), engine->posterior());
   ASSERT_EQ(res.trajectory.size(), offline.trajectory.size());
   for (std::size_t i = 0; i < res.trajectory.size(); ++i) {
     EXPECT_EQ(res.trajectory[i].round, offline.trajectory[i].round);
@@ -395,6 +396,44 @@ TEST(OnlineAttack, RunWorkloadAttackEqualsManualSession) {
               offline.trajectory[i].entropy_bits);
   }
   EXPECT_EQ(res.identified_round, offline.identified_round);
+}
+
+TEST(OnlineAttack, SharedPassEqualsOneRunPerEngine) {
+  // Engines fed from one pass over the rounds see exactly the stream each
+  // would see alone.
+  const workload::population pop(stream_config());
+  const std::uint32_t n = pop.config().receiver_count;
+  attack::sda_attack exact(n);
+  attack::sketch_sda_attack sketch(n);
+  auto bayes = attack::make_attack(attack::attack_kind::sequential_bayes, n);
+  attack::disclosure_attack* const engines[] = {&exact, &sketch, bayes.get()};
+  const std::vector<attack::attack_result> shared =
+      attack::run_workload_attack(pop, 1, engines, 0.9, 3);
+  ASSERT_EQ(shared.size(), 3u);
+  for (std::size_t e = 0; e < shared.size(); ++e) {
+    const auto alone_engine =
+        e == 0 ? attack::make_attack(attack::attack_kind::sda, n)
+        : e == 1
+            ? std::unique_ptr<attack::disclosure_attack>(
+                  std::make_unique<attack::sketch_sda_attack>(n))
+            : attack::make_attack(attack::attack_kind::sequential_bayes, n);
+    const attack::attack_result alone =
+        attack::run_workload_attack(pop, 1, *alone_engine, 0.9, 3);
+    const attack::attack_result& both = shared[e];
+    EXPECT_EQ(both.rounds, alone.rounds);
+    EXPECT_EQ(both.identified_round, alone.identified_round);
+    ASSERT_EQ(both.trajectory.size(), alone.trajectory.size()) << e;
+    for (std::size_t i = 0; i < both.trajectory.size(); ++i) {
+      const attack::trajectory_point& a = both.trajectory[i];
+      const attack::trajectory_point& b = alone.trajectory[i];
+      EXPECT_EQ(a.round, b.round);
+      EXPECT_EQ(a.entropy_bits, b.entropy_bits) << e << " @" << a.round;
+      EXPECT_EQ(a.top_mass, b.top_mass) << e << " @" << a.round;
+      EXPECT_EQ(a.top_receiver, b.top_receiver) << e << " @" << a.round;
+      EXPECT_EQ(a.identified, b.identified) << e << " @" << a.round;
+    }
+    EXPECT_EQ(engines[e]->posterior(), alone_engine->posterior()) << e;
+  }
 }
 
 TEST(OnlineAttack, ConfigValidationRejectsIncoherentSessions) {
@@ -556,6 +595,198 @@ TEST(BottomKSample, WeightedOffersAreOrderAndShardInvariant) {
   EXPECT_TRUE(forward.saturated());  // 11 distinct keys > k = 4
 }
 
+/// The reservoir as it was first written — a std::set of (prio, key) and a
+/// std::map of key -> prio, every new key inserted and the largest entry
+/// then evicted — kept as the oracle the flat heap must reproduce: the
+/// retained keys, saturation, and the eviction count of every offer order.
+class reference_bottom_k {
+ public:
+  reference_bottom_k(std::uint32_t k, std::uint64_t salt) : k_(k), salt_(salt) {}
+
+  void offer(std::uint64_t key) {
+    offer(key, workload::sketch_hash(salt_, 0x5eed, key));
+  }
+
+  void offer(std::uint64_t key, std::uint64_t priority) {
+    const auto it = prio_of_.find(key);
+    if (it != prio_of_.end()) {
+      if (priority >= it->second) return;
+      entries_.erase({it->second, key});
+      it->second = priority;
+      entries_.emplace(priority, key);
+      return;
+    }
+    prio_of_.emplace(key, priority);
+    entries_.emplace(priority, key);
+    if (entries_.size() > k_) {
+      const auto worst = std::prev(entries_.end());
+      prio_of_.erase(worst->second);
+      entries_.erase(worst);
+      saturated_ = true;
+      ++evictions_;
+    }
+  }
+
+  void merge(const reference_bottom_k& other) {
+    evictions_ += other.evictions_;
+    for (const auto& [prio, key] : other.entries_) offer(key, prio);
+    saturated_ = saturated_ || other.saturated_;
+  }
+
+  std::vector<std::uint64_t> keys() const {
+    std::vector<std::uint64_t> out;
+    for (const auto& entry : entries_) out.push_back(entry.second);
+    std::sort(out.begin(), out.end());
+    return out;
+  }
+  bool saturated() const { return saturated_; }
+  std::uint64_t evictions() const { return evictions_; }
+
+ private:
+  std::uint32_t k_;
+  std::uint64_t salt_;
+  bool saturated_ = false;
+  std::uint64_t evictions_ = 0;
+  std::set<std::pair<std::uint64_t, std::uint64_t>> entries_;
+  std::map<std::uint64_t, std::uint64_t> prio_of_;
+};
+
+/// One reservoir and its oracle, fed the same offers.
+struct reservoir_pair {
+  workload::bottom_k_sample flat;
+  reference_bottom_k oracle;
+
+  reservoir_pair(std::uint32_t k, std::uint64_t salt)
+      : flat(k, salt), oracle(k, salt) {}
+
+  /// A priority of kUnweighted takes the one-argument (hashed) offer.
+  void offer(std::uint64_t key, std::uint64_t priority) {
+    if (priority == kUnweighted) {
+      flat.offer(key);
+      oracle.offer(key);
+    } else {
+      flat.offer(key, priority);
+      oracle.offer(key, priority);
+    }
+  }
+  void merge(const reservoir_pair& other) {
+    flat.merge(other.flat);
+    oracle.merge(other.oracle);
+  }
+  void expect_agree(const std::string& what) const {
+    EXPECT_EQ(flat.keys(), oracle.keys()) << what;
+    EXPECT_EQ(flat.saturated(), oracle.saturated()) << what;
+    EXPECT_EQ(flat.evictions(), oracle.evictions()) << what;
+    EXPECT_EQ(flat.size(), oracle.keys().size()) << what;
+  }
+
+  static constexpr std::uint64_t kUnweighted = ~std::uint64_t{0};
+};
+
+/// A seeded offer stream over `keys` distinct keys with priorities from
+/// `prios` values (so keys repeat and priorities tie), one offer in eight
+/// unweighted; with `spread`, keys are scattered over 64 bits so the index
+/// sees arbitrary hashes.
+std::vector<std::pair<std::uint64_t, std::uint64_t>> offer_stream(
+    std::size_t length, std::uint64_t keys, std::uint64_t prios, bool spread,
+    std::uint64_t seed) {
+  stats::rng gen(seed);
+  std::vector<std::pair<std::uint64_t, std::uint64_t>> out(length);
+  for (auto& [key, prio] : out) {
+    key = gen.next_below(keys);
+    if (spread) key = workload::sketch_hash(seed, 7, key);
+    prio = gen.next_below(8) == 0 ? reservoir_pair::kUnweighted
+                                  : gen.next_below(prios);
+  }
+  return out;
+}
+
+TEST(BottomKSample, SequentialOffersMatchTheSetAndMapOracle) {
+  for (const std::uint32_t k : {1u, 4u, 512u}) {
+    for (std::uint64_t seed = 1; seed <= 6; ++seed) {
+      const std::string what =
+          "k " + std::to_string(k) + " seed " + std::to_string(seed);
+      const std::uint64_t keys = seed % 2 ? 3 * k + 5 : k + 1;
+      const auto stream =
+          offer_stream(8 * k + 200, keys, seed % 3 ? 4 * k : 3, seed > 3,
+                       seed * 131 + k);
+      reservoir_pair r(k, seed);
+      for (std::size_t i = 0; i < stream.size(); ++i) {
+        r.offer(stream[i].first, stream[i].second);
+        if (i % 37 == 0) r.expect_agree(what + " offer " + std::to_string(i));
+      }
+      r.expect_agree(what);
+    }
+  }
+}
+
+TEST(BottomKSample, MergesMatchTheSetAndMapOracle) {
+  for (const std::uint32_t k : {1u, 4u, 512u}) {
+    for (std::uint64_t seed = 1; seed <= 4; ++seed) {
+      const std::string what =
+          "k " + std::to_string(k) + " seed " + std::to_string(seed);
+      const auto stream = offer_stream(6 * k + 120, 2 * k + 9, 2 * k,
+                                       seed % 2 == 0, seed * 17 + k);
+      for (const std::size_t ways : {2u, 4u}) {
+        std::vector<reservoir_pair> shards(ways, reservoir_pair(k, seed));
+        stats::rng pick(seed + ways);
+        for (const auto& [key, prio] : stream)
+          shards[pick.next_below(ways)].offer(key, prio);
+        // Left fold, then (for four shards) a pairwise tree.
+        reservoir_pair folded = shards[0];
+        for (std::size_t s = 1; s < ways; ++s) folded.merge(shards[s]);
+        folded.expect_agree(what + " " + std::to_string(ways) + "-way fold");
+        if (ways == 4) {
+          reservoir_pair left = shards[3], right = shards[1];
+          left.merge(shards[2]);
+          right.merge(shards[0]);
+          left.merge(right);
+          left.expect_agree(what + " 4-way tree");
+          EXPECT_EQ(left.flat.keys(), folded.flat.keys()) << what;
+        }
+      }
+    }
+  }
+}
+
+TEST(BottomKSample, MemoryIsFixedAtConstruction) {
+  workload::bottom_k_sample sample(512, 3);
+  const std::size_t before = sample.memory_bytes();
+  for (std::uint64_t key = 0; key < 5000; ++key) sample.offer(key, key * 7);
+  EXPECT_EQ(sample.memory_bytes(), before);
+  EXPECT_EQ(sample.size(), 512u);
+}
+
+TEST(CountMinSketch, WidthMustBeAPowerOfTwo) {
+  EXPECT_FALSE((workload::sketch_params{.width = 3}.valid()));
+  EXPECT_FALSE((workload::sketch_params{.width = 4095}.valid()));
+  EXPECT_TRUE((workload::sketch_params{.width = 16}.valid()));
+  EXPECT_TRUE(workload::sketch_params{}.valid());
+  EXPECT_THROW(workload::count_min_sketch(4, 3, 5), contract_violation);
+  EXPECT_THROW(workload::count_min_sketch(4, 4095, 5), contract_violation);
+}
+
+TEST(CountMinSketch, TwinAddEqualsTwoAdds) {
+  workload::count_min_sketch a(4, 64, 9), b(4, 64, 9);
+  workload::count_min_sketch a_ref(4, 64, 9), b_ref(4, 64, 9);
+  stats::rng gen(5);
+  for (int i = 0; i < 500; ++i) {
+    const std::uint64_t key = gen.next_below(300);
+    if (i % 3 == 0) {
+      a.add(key);
+      a_ref.add(key);
+    } else {
+      a.add_twin(key, b);
+      a_ref.add(key);
+      b_ref.add(key);
+    }
+  }
+  EXPECT_EQ(a, a_ref);
+  EXPECT_EQ(b, b_ref);
+  workload::count_min_sketch other_salt(4, 64, 10);
+  EXPECT_THROW(a.add_twin(1, other_salt), contract_violation);
+}
+
 /// Builds a small internally-consistent counts fixture from_counts accepts.
 workload::cooccurrence_result valid_counts() {
   workload::cooccurrence_result totals;
@@ -690,9 +921,10 @@ TEST_P(StreamingScale, CrossChecksHold) {
   // 1. The sharded exact accumulation, rebuilt through from_counts, equals
   //    the online session bit for bit.
   attack::sda_attack exact(n);
-  const std::vector<double> exact_online =
-      attack::run_workload_attack(pop, 0, exact, 0.99, c.rounds)
-          .final_posterior;
+  attack::sketch_sda_attack sketch(n);
+  attack::disclosure_attack* const engines[] = {&exact, &sketch};
+  (void)attack::run_workload_attack(pop, 0, engines, 0.99, c.rounds);
+  const std::vector<double> exact_online = exact.posterior();
   const workload::streaming_accumulator exact_acc =
       workload::accumulate_streaming(pop, 0, c.rounds, {}, ccfg);
   const workload::cooccurrence_result totals = exact_acc.totals();
@@ -702,10 +934,7 @@ TEST_P(StreamingScale, CrossChecksHold) {
       << "sharded exact accumulator diverged from the online session";
 
   // 2. The same for the sketch backend, through from_accumulator.
-  attack::sketch_sda_attack sketch(n);
-  const std::vector<double> sketch_online =
-      attack::run_workload_attack(pop, 0, sketch, 0.99, c.rounds)
-          .final_posterior;
+  const std::vector<double> sketch_online = sketch.posterior();
   workload::streaming_config scfg;
   scfg.backend = workload::stream_backend::sketch;
   EXPECT_TRUE(same_bits(

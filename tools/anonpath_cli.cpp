@@ -1081,19 +1081,25 @@ int cmd_attack(const options& opt) {
                  "subtraction\n",
                  cfg.receiver_law.label().c_str());
   auto engine = attack::make_attack(kind, cfg.receiver_count, bayes);
+  std::vector<attack::disclosure_attack*> engines{engine.get()};
+  std::optional<attack::sketch_sda_attack> sketch;
+  if (stream == workload::stream_backend::sketch)
+    engines.push_back(&sketch.emplace(cfg.receiver_count));
   const std::uint32_t stride =
       opt.every != 0 ? opt.every : std::max(1u, cfg.round_count / 100);
 
   obs::progress_meter progress("attack rounds", cfg.round_count,
                                opt.progress);
   progress.advance(0);
-  // Each engine runs once over the round stream, as one attack.ingest span.
-  const auto run_engine = [&](attack::disclosure_attack& e) {
-    obs::span ingest_span(tp, "attack.ingest");
-    return attack::run_workload_attack(pop, 0, e, opt.threshold, stride);
-  };
+  // The engines share one pass over the round stream, one attack.ingest
+  // span.
   const auto t0 = std::chrono::steady_clock::now();
-  const attack::attack_result result = run_engine(*engine);
+  const std::vector<attack::attack_result> results = [&] {
+    obs::span ingest_span(tp, "attack.ingest");
+    return attack::run_workload_attack(pop, 0, engines, opt.threshold,
+                                       stride);
+  }();
+  const attack::attack_result& result = results.front();
   const auto t1 = std::chrono::steady_clock::now();
   progress.advance(cfg.round_count);
   if (tp != nullptr) {
@@ -1130,27 +1136,27 @@ int cmd_attack(const options& opt) {
                  result.rounds, result.top_receiver, result.top_mass,
                  result.entropy_bits);
 
-  if (stream == workload::stream_backend::sketch) {
-    // The sketch backend's own session over the same round stream.
-    attack::sketch_sda_attack sketch(cfg.receiver_count);
-    const attack::attack_result sres = run_engine(sketch);
+  if (sketch) {
+    // The sketch backend's session over the same round stream.
+    const attack::attack_result& sres = results.back();
     if (tp != nullptr) {
       reg.set_gauge("stream.memory_bytes",
-                    static_cast<double>(sketch.memory_bytes()));
+                    static_cast<double>(sketch->memory_bytes()));
       reg.set_gauge("stream.sketch_occupied_cells",
-                    static_cast<double>(sketch.occupied_cells()));
+                    static_cast<double>(sketch->occupied_cells()));
       reg.set_gauge("stream.candidates_retained",
-                    static_cast<double>(sketch.candidates().size()));
+                    static_cast<double>(sketch->candidates().size()));
       // Ingest-order-dependent telemetry: recorded only on this
       // single-threaded session, never compared across thread counts.
       reg.add_counter("stream.reservoir_evictions",
-                      sketch.reservoir_evictions());
+                      sketch->reservoir_evictions());
     }
     std::fprintf(stderr,
                  "# sketch posterior (%s, %zu candidates%s): top receiver "
                  "%u (%s exact), H = %.4f bits\n",
-                 sketch.params().label().c_str(), sketch.candidates().size(),
-                 sketch.candidates_saturated() ? ", saturated" : "",
+                 sketch->params().label().c_str(),
+                 sketch->candidates().size(),
+                 sketch->candidates_saturated() ? ", saturated" : "",
                  sres.top_receiver,
                  sres.top_receiver == result.top_receiver ? "matches"
                                                           : "DIFFERS from",
