@@ -8,7 +8,11 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
 #include <sstream>
+#include <string>
+
+#include "src/sim/checkpoint.hpp"
 
 namespace anonpath::sim {
 namespace {
@@ -70,6 +74,76 @@ TEST(CampaignGrid, SkipsInfeasibleCellsDeterministically) {
   EXPECT_EQ(result.skipped_cells, 3u);
   EXPECT_EQ(result.runs, 10u);
   EXPECT_EQ(result.cells.size(), 5u);
+}
+
+/// A grid that crosses every runnability rule: C < N, path length vs N,
+/// session coherence and its mode, kpaths vs mode and the timing
+/// adversary, topology parameters vs N and restricted graphs vs the
+/// timing adversary. The outage names a node outside every cell's N: it
+/// must fail cells at run time, never filter them out here.
+campaign_grid every_rule_grid() {
+  campaign_grid grid;
+  grid.node_counts = {6, 20};
+  grid.compromised_counts = {1, 6};
+  grid.lengths = {path_length_distribution::fixed(3),
+                  path_length_distribution::uniform(1, 8),
+                  path_length_distribution::fixed(5)};
+  grid.modes = {routing_mode::source_routed, routing_mode::hop_by_hop};
+  grid.adversaries = {
+      adversary_config{},
+      adversary_config{adversary_kind::timing_correlator},
+      adversary_config{adversary_kind::partial_coverage, 0.3}};
+  net::topology_config ring2, ring5, regular4;
+  ring2.kind = ring5.kind = net::topology_kind::ring;
+  ring2.ring_k = 2;
+  ring5.ring_k = 5;
+  regular4.kind = net::topology_kind::random_regular;
+  regular4.degree = 4;
+  grid.topologies = {net::topology_config{}, ring2, ring5, regular4};
+  grid.routings = {net::routing_config{},
+                   net::routing_config{net::route_select::kpaths, 2}};
+  grid.populations = {0, 1, 100};
+  grid.session_rounds = {0, 30, 40};
+  grid.attacks = {attack::attack_kind::none, attack::attack_kind::sda,
+                  attack::attack_kind::intersection};
+  grid.streams = {workload::stream_backend::exact,
+                  workload::stream_backend::sketch};
+  grid.message_count = 30;
+  grid.fault_outages = {{25, 0.0, 1.0}};
+  return grid;
+}
+
+std::string cell_label(const scenario& s) {
+  std::ostringstream os;
+  os << s.node_count << ',' << s.compromised_count << ','
+     << s.lengths.label() << ',' << static_cast<int>(s.mode) << ','
+     << s.drop_probability << ',' << s.arrival_rate << ','
+     << s.adversary.label() << ',' << s.topology.label() << ','
+     << s.routing.label() << ',' << s.churn.label() << ','
+     << s.mix_failure.label() << ',' << s.retry.label() << ','
+     << s.population << ',' << s.rounds << ','
+     << attack::attack_kind_label(s.attack) << ','
+     << workload::stream_backend_label(s.stream) << '\n';
+  return os.str();
+}
+
+TEST(CampaignGrid, OneRuleSelectsTheCells) {
+  // Pins which cells of the every-rule grid are runnable, in which order,
+  // and what the campaign fingerprints of them: any change to the
+  // feasibility rule or to the configs the cells run under moves a count
+  // or a hash.
+  const campaign_grid grid = every_rule_grid();
+  EXPECT_EQ(grid.cell_count(), 31104u);
+  const std::vector<scenario> cells = expand_grid(grid);
+  EXPECT_EQ(cells.size(), 708u);
+  std::uint64_t h = 0xcbf29ce484222325ULL;  // FNV-1a over the labels
+  for (const scenario& s : cells)
+    for (const char ch : cell_label(s)) {
+      h ^= static_cast<unsigned char>(ch);
+      h *= 0x100000001b3ULL;
+    }
+  EXPECT_EQ(h, 0x43d06a6b9a8b0365ULL);
+  EXPECT_EQ(campaign_scope(grid, campaign_config{}), 0xf0baf02b036812a8ULL);
 }
 
 TEST(CampaignGrid, ScenarioConfigCarriesSharedSettings) {
