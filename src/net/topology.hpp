@@ -46,8 +46,7 @@ struct topology_config {
   double trust_decay = 0.5;      ///< trust_weighted: per-hop weight decay in (0,1]
 
   /// Parameter ranges that admit a connected, self-loop-free graph on
-  /// `node_count` nodes; infeasible combinations are skipped by the
-  /// campaign expander and rejected (loudly) by the CLI and topology::make.
+  /// `node_count` nodes; one of the rules of sim::config_problem.
   [[nodiscard]] bool valid_for(std::uint32_t node_count) const noexcept;
 
   /// Compact label, e.g. "complete", "ring(2)", "regular(4@1)",

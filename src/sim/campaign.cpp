@@ -21,48 +21,6 @@ namespace anonpath::sim {
 
 namespace {
 
-/// A cell is runnable iff run_simulation's preconditions hold for it:
-/// beyond the clique rules, the topology parameters must fit N and a
-/// restricted graph cannot face the timing correlator (no exact
-/// restricted-path likelihood for gapped observations).
-bool feasible(const campaign_grid& grid, std::uint32_t n, std::uint32_t c,
-              const path_length_distribution& lengths, routing_mode mode,
-              const adversary_config& adv, const net::topology_config& topo,
-              const net::routing_config& routing,
-              const net::churn_config& churn, const mix_failure_config& mf,
-              const retry_policy& retry, std::uint32_t population,
-              std::uint32_t rounds, attack::attack_kind atk,
-              workload::stream_backend stream) {
-  const system_params sys{n, c};
-  // Session coordinates must be coherent: population and rounds are both
-  // off or both on, attacks need rounds, enabled sessions need a population
-  // of at least two, at least one message per round, and source routing
-  // (run_core's own precondition).
-  const bool session_ok =
-      (population == 0) == (rounds == 0) &&
-      (atk == attack::attack_kind::none || rounds > 0) &&
-      (rounds == 0 ||
-       (population >= 2 && rounds <= grid.message_count &&
-        mode == routing_mode::source_routed)) &&
-      // Sketch-backed state exists for the counting attack only.
-      (stream == workload::stream_backend::exact ||
-       atk == attack::attack_kind::sda);
-  // Planned (kpaths) routing mirrors run_core's preconditions: whole-path
-  // planning only exists for source routing, and its observations have no
-  // gapped (timing-correlator) likelihood.
-  const bool routing_ok =
-      routing.valid() &&
-      (!routing.planned() ||
-       (mode == routing_mode::source_routed &&
-        adv.kind != adversary_kind::timing_correlator));
-  return sys.valid() && c < n && lengths.max_length() <= n - 1 &&
-         grid.message_count > 0 && adv.valid() && topo.valid_for(n) &&
-         routing_ok && churn.valid() && mf.valid() && retry.valid() &&
-         session_ok &&
-         (topo.kind == net::topology_kind::complete ||
-          adv.kind != adversary_kind::timing_correlator);
-}
-
 const char* mode_label(routing_mode mode) {
   return mode == routing_mode::source_routed ? "source_routed" : "hop_by_hop";
 }
@@ -143,10 +101,10 @@ campaign_cell reduce_cell(const scenario& s, std::uint32_t replicas,
   return agg;
 }
 
-}  // namespace
-
-std::vector<scenario> expand_grid(const campaign_grid& grid) {
-  std::vector<scenario> out;
+/// Calls `visit` on every cell of the grid's cartesian product, in grid
+/// order, until it returns false.
+template <class Visit>
+void for_each_product_cell(const campaign_grid& grid, Visit&& visit) {
   for (std::uint32_t n : grid.node_counts)
     for (std::uint32_t c : grid.compromised_counts)
       for (const auto& lengths : grid.lengths)
@@ -163,18 +121,42 @@ std::vector<scenario> expand_grid(const campaign_grid& grid) {
                             for (std::uint32_t rounds : grid.session_rounds)
                               for (attack::attack_kind atk : grid.attacks)
                                 for (workload::stream_backend stream :
-                                     grid.streams) {
-                                  if (!feasible(grid, n, c, lengths, mode,
-                                                adv, topo, routing, churn,
-                                                mf, retry, population,
-                                                rounds, atk, stream))
-                                    continue;
-                                  out.push_back(scenario{
-                                      n, c, lengths, mode, drop, rate, adv,
-                                      topo, routing, churn, mf, retry,
-                                      population, rounds, atk, stream});
-                                }
+                                     grid.streams)
+                                  if (!visit(scenario{
+                                          n, c, lengths, mode, drop, rate,
+                                          adv, topo, routing, churn, mf,
+                                          retry, population, rounds, atk,
+                                          stream}))
+                                    return;
+}
+
+}  // namespace
+
+std::vector<scenario> expand_grid(const campaign_grid& grid) {
+  std::vector<scenario> out;
+  for_each_product_cell(grid, [&](scenario&& s) {
+    if (cell_problem(s, grid) == nullptr) out.push_back(std::move(s));
+    return true;
+  });
   return out;
+}
+
+scenario first_cell(const campaign_grid& grid) {
+  scenario first;
+  for_each_product_cell(grid, [&](scenario&& s) {
+    first = std::move(s);
+    return false;
+  });
+  return first;
+}
+
+const char* cell_problem(const scenario& s, const campaign_grid& grid) {
+  sim_config cfg = scenario_base_config(s, grid);
+  // Grid-wide outages are not swept, so they do not pick cells: a node
+  // outside some cell's N fails that cell at run time, into its error
+  // column, and the rest of the campaign runs.
+  cfg.faults.outages.clear();
+  return config_problem(cfg);
 }
 
 sim_config scenario_base_config(const scenario& s, const campaign_grid& grid) {
@@ -196,14 +178,13 @@ sim_config scenario_base_config(const scenario& s, const campaign_grid& grid) {
   cfg.topology = s.topology;
   cfg.routing = s.routing;
   cfg.identified_threshold = grid.identified_threshold;
-  if (s.rounds > 0) {
-    cfg.session.rounds = s.rounds;
-    cfg.session.receiver_count = s.population;
-    cfg.session.receiver_law = grid.session_receiver_law;
-    cfg.session.attack = s.attack;
-    cfg.session.stream = s.stream;
-    cfg.session.partner = canonical_partner(s.population);
-  }
+  // A coherent session-off cell leaves these at their defaults.
+  cfg.session.rounds = s.rounds;
+  cfg.session.receiver_count = s.population;
+  cfg.session.attack = s.attack;
+  cfg.session.stream = s.stream;
+  cfg.session.partner = canonical_partner(s.population);
+  if (s.rounds > 0) cfg.session.receiver_law = grid.session_receiver_law;
   return cfg;
 }
 

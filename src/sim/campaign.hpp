@@ -22,10 +22,9 @@ namespace anonpath::sim {
 /// `run_simulation`.
 ///
 /// Axes with several values multiply; axes left at their one-element
-/// defaults stay fixed. Infeasible combinations (C >= N, or a length
-/// distribution whose support cannot fit a simple path in an N-node
-/// system) are skipped during expansion, deterministically — the same
-/// grid always yields the same cell list in the same order.
+/// defaults stay fixed. Cells that config_problem refuses (see
+/// cell_problem) are skipped during expansion, deterministically — the
+/// same grid always yields the same cell list in the same order.
 struct campaign_grid {
   std::vector<std::uint32_t> node_counts{100};        ///< N axis
   std::vector<std::uint32_t> compromised_counts{1};   ///< C axis (spread_compromised placement)
@@ -40,8 +39,7 @@ struct campaign_grid {
       net::topology_config{}};                        ///< graph axis
   /// Route-selection axis (net::routing_config): the default (walk) keeps
   /// every historical cell byte-identical; kpaths cells route over planned
-  /// Dijkstra/Yen paths and require source_routed mode with a non-timing
-  /// adversary (infeasible combinations are skipped like any other).
+  /// Dijkstra/Yen paths.
   std::vector<net::routing_config> routings{net::routing_config{}};
   std::vector<net::churn_config> churns{
       net::churn_config{}};                           ///< availability axis
@@ -54,15 +52,13 @@ struct campaign_grid {
   /// Longitudinal session axes (src/sim/session.hpp). `populations` is the
   /// pseudonymous receiver population, `session_rounds` the mix-round
   /// count, `attacks` the disclosure engine. The defaults (0 / 0 / none)
-  /// keep sessions off; a cell is feasible only when population and rounds
-  /// are both zero or both set (and any non-none attack has rounds).
+  /// keep sessions off.
   std::vector<std::uint32_t> populations{0};
   std::vector<std::uint32_t> session_rounds{0};
   std::vector<attack::attack_kind> attacks{attack::attack_kind::none};
   /// Engine state backend for session attacks (src/workload/streaming.hpp):
-  /// exact counts or sublinear-memory sketches. Non-exact backends are
-  /// feasible only for sda cells; the default keeps every historical cell
-  /// and CSV byte identical.
+  /// exact counts or sublinear-memory sketches. The default keeps every
+  /// historical cell and CSV byte identical.
   std::vector<workload::stream_backend> streams{
       workload::stream_backend::exact};
 
@@ -73,11 +69,10 @@ struct campaign_grid {
   double identified_threshold = 0.99;                 ///< sim_report scoring
   /// Background destination law for session cells (target pair excluded).
   workload::popularity_law session_receiver_law{};
-  /// Explicit crash/repair intervals applied to EVERY cell (not swept).
-  /// Nodes are not bounds-checked against the N axis here: a plan naming a
-  /// node outside some cell's [0, N) fails that cell at run time and is
-  /// reported through its error column, leaving the rest of the campaign
-  /// intact.
+  /// Explicit crash/repair intervals applied to EVERY cell (not swept), so
+  /// they pick no cells (see cell_problem): a plan naming a node outside
+  /// some cell's [0, N) fails that cell at run time and is reported
+  /// through its error column, leaving the rest of the campaign intact.
   std::vector<net::outage> fault_outages{};
 
   /// Cells in the full cartesian product, before feasibility filtering.
@@ -152,7 +147,7 @@ struct campaign_config {
   obs::progress_meter* progress = nullptr;
 };
 
-/// The coordinates of one feasible grid cell. Default-constructed scenarios
+/// The coordinates of one grid cell. Default-constructed scenarios
 /// are placeholders (checkpoint records restore metric state first and are
 /// rebound to their grid cell afterwards), not runnable configurations.
 struct scenario {
@@ -217,15 +212,28 @@ struct campaign_result {
   std::uint64_t runs = 0;              ///< feasible cells * replicas
 };
 
-/// Expands the grid into its feasible scenarios, in the deterministic
-/// order documented on campaign_result. Exposed separately so tests and
-/// callers can enumerate cells without running anything.
+/// Expands the grid into its feasible scenarios (cell_problem is null), in
+/// the deterministic order documented on campaign_result. Exposed
+/// separately so tests and callers can enumerate cells without running
+/// anything.
 [[nodiscard]] std::vector<scenario> expand_grid(const campaign_grid& grid);
+
+/// The first cell of the grid's cartesian product, feasible or not: every
+/// axis at its first value. Precondition: no axis is empty.
+[[nodiscard]] scenario first_cell(const campaign_grid& grid);
+
+/// Why a product cell cannot run: config_problem of its
+/// scenario_base_config with the grid-wide fault_outages left out, or
+/// nullptr when it is feasible.
+[[nodiscard]] const char* cell_problem(const scenario& s,
+                                       const campaign_grid& grid);
 
 /// The seed-free part of a scenario's sim_config: shared settings from the
 /// grid and the compromised set via spread_compromised, with `seed` and the
-/// session target (drawn under the seed) left at their defaults. Draws
-/// nothing; campaign_scope fingerprints it.
+/// session target (drawn under the seed) left at their defaults. The
+/// session coordinates are copied even when rounds is 0, so an incoherent
+/// cell stays incoherent for config_problem. Draws nothing;
+/// campaign_scope fingerprints it.
 [[nodiscard]] sim_config scenario_base_config(const scenario& s,
                                               const campaign_grid& grid);
 

@@ -296,46 +296,64 @@ class traffic_source final : public event_handler {
 
 }  // namespace
 
+const char* config_problem(const sim_config& config) noexcept {
+  const std::uint32_t n = config.sys.node_count;
+  if (n < 2) return "N >= 2 nodes";
+  if (config.sys.compromised_count >= n)
+    return "C < N (an honest sender must exist)";
+  if (config.compromised.size() != config.sys.compromised_count)
+    return "the compromised list names C nodes";
+  if (config.message_count == 0) return "at least one message";
+  if (config.lengths.max_length() > n - 1)
+    return "path lengths <= N-1 (a simple path has at most N-1 "
+           "intermediates)";
+  if (!config.adversary.valid()) return "adversary coverage in [0, 1]";
+  if (!config.faults.valid_for(n))
+    return "a valid fault plan (drop in [0, 1), outage nodes < N)";
+  if (!config.retry.valid()) return "retry policy in range";
+  if (!(config.arrival_rate > 0.0)) return "arrival rate > 0";
+  if (!config.session.valid_for(n, config.message_count))
+    return "a coherent session (population >= 2 with rounds in "
+           "[1, messages], or both 0; an attack needs rounds; sketch needs "
+           "sda)";
+  // Session destinations are metadata on source-routed traffic; hop-by-hop
+  // runs have no per-message inference to fuse with.
+  if (config.session.enabled() && config.mode != routing_mode::source_routed)
+    return "sessions need source (onion) routing";
+  // Planned (kpaths) routing picks whole source-routed paths up front; it
+  // has no hop-by-hop analogue, and its observations have no gapped
+  // (timing-correlator) likelihood.
+  if (!config.routing.valid()) return "kpaths k in [1, 64]";
+  if (config.routing.planned()) {
+    if (config.mode != routing_mode::source_routed)
+      return "kpaths routing needs source (onion) routing";
+    if (config.adversary.kind == adversary_kind::timing_correlator)
+      return "kpaths routing excludes the timing adversary";
+  }
+  if (!config.topology.valid_for(n)) return "topology parameters fit N";
+  // Gapped (timing-correlator) observations have no restricted-path
+  // likelihood.
+  if (config.topology.kind != net::topology_kind::complete &&
+      config.adversary.kind == adversary_kind::timing_correlator)
+    return "a restricted topology excludes the timing adversary";
+  return nullptr;
+}
+
 namespace detail {
 
 core_result run_core(const sim_config& config,
                      std::vector<adversary_event>* event_log) {
-  ANONPATH_EXPECTS(config.sys.valid());
-  ANONPATH_EXPECTS(config.compromised.size() == config.sys.compromised_count);
-  ANONPATH_EXPECTS(config.message_count > 0);
-  ANONPATH_EXPECTS(config.lengths.max_length() <= config.sys.node_count - 1);
-  ANONPATH_EXPECTS(config.adversary.valid());
-  ANONPATH_EXPECTS(config.faults.valid_for(config.sys.node_count));
-  ANONPATH_EXPECTS(config.retry.valid());
-  ANONPATH_EXPECTS(config.arrival_rate > 0.0);
-  // Session destinations are metadata on source-routed traffic; hop-by-hop
-  // runs have no per-message inference to fuse with, so the combination is
-  // rejected rather than silently scored without evidence.
-  ANONPATH_EXPECTS(
-      config.session.valid_for(config.sys.node_count, config.message_count));
-  ANONPATH_EXPECTS(!config.session.enabled() ||
-                   config.mode == routing_mode::source_routed);
-  // Planned (kpaths) routing picks whole source-routed paths up front; it
-  // has no hop-by-hop analogue, and its observations have no gapped
-  // (timing-correlator) likelihood — reject both combinations up front.
-  ANONPATH_EXPECTS(config.routing.valid());
-  const bool planned = config.routing.planned();
-  ANONPATH_EXPECTS(!planned || config.mode == routing_mode::source_routed);
-  ANONPATH_EXPECTS(!planned ||
-                   config.adversary.kind != adversary_kind::timing_correlator);
-
+  if (const char* problem = config_problem(config))
+    ::anonpath::detail::contract_fail("precondition", problem, __FILE__,
+                                      __LINE__);
   const auto n = config.sys.node_count;
   // A restricted topology switches routing to the walk model; `complete`
   // must stay byte-for-byte the historical clique path, so it never even
   // builds a graph object — unless routing is planned, in which case the
   // planner needs a materialized graph even for the clique (the fabric then
-  // also asserts every planned hop follows an edge). Gapped
-  // (timing-correlator) observations have no restricted-path likelihood —
-  // reject the combination up front rather than score garbage.
+  // also asserts every planned hop follows an edge).
   const bool restricted = config.topology.kind != net::topology_kind::complete;
-  ANONPATH_EXPECTS(config.topology.valid_for(n));
-  ANONPATH_EXPECTS(!restricted ||
-                   config.adversary.kind != adversary_kind::timing_correlator);
+  const bool planned = config.routing.planned();
   std::optional<net::topology> topo;
   if (restricted || planned) topo.emplace(net::topology::make(n, config.topology));
   const net::topology* graph = topo ? &*topo : nullptr;

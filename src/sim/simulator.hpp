@@ -53,7 +53,7 @@ struct sim_config {
   /// the graph and scores observations with the restricted-path
   /// topology_posterior_engine. Restricted graphs do not support the
   /// timing_correlator adversary (its gapped observations have no exact
-  /// graph likelihood yet); run_core rejects that combination.
+  /// graph likelihood yet); config_problem refuses that combination.
   net::topology_config topology{};
   /// The run's unified fault model (sim::fault_plan): per-link loss,
   /// stochastic churn, explicit crash/repair intervals, and seeded
@@ -71,7 +71,8 @@ struct sim_config {
   /// Round-batched session mode (src/sim/session.hpp): pseudonymous
   /// destinations over mix rounds plus an optional longitudinal disclosure
   /// attack scored per round. Disabled (the default) is byte-identical to
-  /// pre-session behavior; enabled requires source_routed mode.
+  /// pre-session behavior; enabled needs source_routed mode
+  /// (config_problem).
   session_config session{};
   /// Route selection model (net::routing_config). The default (`walk`) is
   /// byte-identical to pre-routing behavior: source-routed messages sample
@@ -82,7 +83,8 @@ struct sim_config {
   /// order-free rng streams so walk-mode draw sequences are untouched.
   /// Planned runs are scored with the approximate posterior
   /// (net::approx_topology_posterior) under a diffuse uniform(1, N-1)
-  /// length prior. Requires source_routed mode and a non-timing adversary.
+  /// length prior. Needs source_routed mode and a non-timing adversary
+  /// (config_problem).
   net::routing_config routing{};
   /// Optional span collector (non-owning; default off). When set,
   /// run_simulation records a "sim.run" span with "sim.run_core" /
@@ -92,6 +94,13 @@ struct sim_config {
   /// tracer itself, so campaign workers leave it null.
   obs::tracer* tracer = nullptr;
 };
+
+/// The one rule for which configs can run: nullptr when run_simulation
+/// (and capture_trace) accept `config`, otherwise a short statement of the
+/// first requirement it breaks, e.g. "C < N (an honest sender must exist)".
+/// run_core enforces it; the campaign expander, the CLI and the trace
+/// reader ask it instead of restating the rules.
+[[nodiscard]] const char* config_problem(const sim_config& config) noexcept;
 
 /// Results of a simulation run.
 struct sim_report {

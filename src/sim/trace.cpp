@@ -405,12 +405,8 @@ sim_trace read_trace(std::istream& is) {
       c.session.attack = *parsed;
       // The never-written default (rounds 0) is rejected so write(read(t))
       // stays byte-identical, same as topology/churn.
-      if (!c.session.enabled() ||
-          !c.session.valid_for(c.sys.node_count, c.message_count))
-        bad(parse_error_kind::out_of_range, "session parameters out of range");
-      if (c.mode != routing_mode::source_routed)
-        bad(parse_error_kind::out_of_range,
-            "session mode requires source_routed routing");
+      if (!c.session.enabled())
+        bad(parse_error_kind::out_of_range, "session rounds out of range");
     } else if (section == "stream") {
       const std::string backend = next_token(is, "stream backend");
       const auto parsed = workload::parse_stream_backend(backend);
@@ -419,9 +415,6 @@ sim_trace read_trace(std::istream& is) {
       if (!parsed || *parsed == workload::stream_backend::exact)
         bad("unknown stream backend '" + backend + "'");
       c.session.stream = *parsed;
-      if (!c.session.valid_for(c.sys.node_count, c.message_count))
-        bad(parse_error_kind::out_of_range,
-            "stream backend requires an sda session");
     } else if (section == "topology") {
       const std::string kind = next_token(is, "topology kind");
       if (kind == "ring") c.topology.kind = net::topology_kind::ring;
@@ -480,8 +473,7 @@ sim_trace read_trace(std::istream& is) {
         bad(parse_error_kind::out_of_range, "retry parameters out of range");
     } else {  // routing
       // Only the non-default kind is ever written ("walk" is rejected so
-      // write(read(t)) stays byte-identical), and planned routes exist
-      // only in source-routed mode.
+      // write(read(t)) stays byte-identical).
       const std::string route_kind = next_token(is, "routing kind");
       if (route_kind != "kpaths")
         bad("unknown routing kind '" + route_kind + "'");
@@ -489,25 +481,17 @@ sim_trace read_trace(std::istream& is) {
       c.routing.k = get_u32(is, "routing k");
       if (!c.routing.valid())
         bad(parse_error_kind::out_of_range, "routing k out of range");
-      if (c.mode != routing_mode::source_routed)
-        bad(parse_error_kind::out_of_range,
-            "planned routing requires source_routed mode");
     }
     section = next_token(is, "compromised");
   }
   if (section != "compromised")
     bad("expected 'compromised', found '" + section + "'");
-  // Same combination rule run_core enforces: gapped (timing-correlator)
-  // observations have no restricted-path likelihood, so a trace claiming
-  // both is invalid input, not an engine-internal contract violation.
-  if (c.topology.kind != net::topology_kind::complete &&
-      c.adversary.kind == adversary_kind::timing_correlator)
+  // The fields are each in range; whether they combine into a config the
+  // simulator can run is the one rule run_core enforces, so a trace that
+  // breaks it is invalid input, not an engine-internal contract violation.
+  if (const char* problem = config_problem(c))
     bad(parse_error_kind::out_of_range,
-        "timing_correlator adversary is not supported on a restricted topology");
-  if (c.routing.planned() &&
-      c.adversary.kind == adversary_kind::timing_correlator)
-    bad(parse_error_kind::out_of_range,
-        "timing_correlator adversary is not supported with planned routing");
+        std::string("config cannot run: ") + problem);
   const std::uint32_t effective_comp = get_u32(is, "effective compromised size");
   if (effective_comp > c.sys.node_count)
     bad(parse_error_kind::out_of_range, "effective compromised size > N");

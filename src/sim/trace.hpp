@@ -93,7 +93,8 @@ void write_trace_config(const sim_config& config, std::ostream& os);
 /// whose kind() classifies the failure and whose message names the
 /// offending field) — never a contract violation, crash, or unbounded
 /// allocation. A returned trace satisfies every precondition of
-/// replay_trace and of run_simulation(trace.config).
+/// replay_trace and of run_simulation(trace.config): its fields are each
+/// in range, and config_problem(trace.config) is null.
 [[nodiscard]] sim_trace read_trace(std::istream& is);
 
 }  // namespace anonpath::sim

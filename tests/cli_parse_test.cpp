@@ -231,6 +231,62 @@ TEST_F(CliParse, SimulateAndCaptureRefuseWhatOneRunCannotHonour) {
             0);
 }
 
+TEST_F(CliParse, EveryRunnabilityRuleIsAUsageError) {
+  // One argv per rule a config must keep to run, plus the flag-level
+  // checks in front of it. None may reach the simulator's own
+  // precondition (exit 1): each is a usage error naming what is wrong.
+  struct rule_case {
+    const char* flags;
+    const char* names;  // part of the diagnostic; null for flag checks
+    bool campaign = true;  // false: a grid applies it at run time
+  };
+  const std::vector<rule_case> cases = {
+      {"--n 0", "N >= 2"},
+      {"--n 1 --c 0 --dist F:0", "N >= 2"},
+      {"--n 20 --c 25", "C < N"},
+      {"--n 20 --c 20", "C < N"},
+      {"--n 20 --c 20 --population 5 --rounds 5 --attack sda", "C < N"},
+      {"--n 10 --dist F:10", "path lengths <= N-1"},
+      {"--n 20 --crash 25:0:1", "outage nodes < N", false},
+      {"--n 20 --population 10 --rounds 5 --mode crowds",
+       "sessions need source"},
+      {"--n 20 --mode crowds --routing kpaths", "kpaths routing needs"},
+      {"--n 20 --adversary timing --routing kpaths",
+       "kpaths routing excludes"},
+      {"--n 10 --topology ring:5", "topology parameters fit N"},
+      {"--n 20 --topology ring:2 --adversary timing",
+       "restricted topology excludes"},
+      {"--n 20 --adversary partial:1.5", nullptr},
+      {"--n 20 --drop 1", nullptr},
+      {"--n 20 --population 1 --rounds 5", nullptr},
+      {"--n 20 --population 10 --rounds 40", nullptr},
+      {"--n 20 --population 10", nullptr},
+      {"--n 20 --attack sda", nullptr},
+      {"--n 20 --population 10 --rounds 5 --attack intersection "
+       "--stream sketch",
+       nullptr},
+      {"--n 20 --receiver-law zipf:1", nullptr},
+  };
+  for (const char* command :
+       {"simulate --messages 30", "capture --out /dev/null --messages 30",
+        "campaign --replicas 1 --messages 30"}) {
+    const bool grid = std::string(command).rfind("campaign", 0) == 0;
+    for (const rule_case& c : cases) {
+      if (grid && !c.campaign) continue;
+      const std::string args = std::string(command) + " " + c.flags;
+      const run_result r = run_cli(args);
+      EXPECT_EQ(r.exit_code, 2) << "anonpath " << args;
+      EXPECT_NE(r.stderr_text.find("error: "), std::string::npos)
+          << "anonpath " << args;
+      EXPECT_EQ(r.stderr_text.find("precondition failed"), std::string::npos)
+          << "anonpath " << args << "\n" << r.stderr_text;
+      if (c.names != nullptr)
+        EXPECT_NE(r.stderr_text.find(c.names), std::string::npos)
+            << "anonpath " << args << "\n" << r.stderr_text;
+    }
+  }
+}
+
 TEST_F(CliParse, RoutingFlagValidation) {
   for (const char* args :
        {"simulate --n 20 --c 2 --routing bogus",

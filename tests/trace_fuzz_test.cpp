@@ -3,9 +3,11 @@
 // to a trace satisfying replay's preconditions or throws anonpath::
 // parse_error — never a contract_violation (that exception means a
 // programming error inside this repo), never a crash, never an unbounded
-// allocation. The corpus is generated deterministically from two seeds: the
-// committed golden trace and a synthetic trace exercising every optional
-// section (churn, outages, mix failures, retry, attempts).
+// allocation. The corpus is generated deterministically from three seeds:
+// the committed golden trace, a synthetic trace exercising the fault
+// sections (churn, outages, mix failures, retry, attempts), and one with a
+// sketch-backed session on a planned ring (session, stream, topology,
+// routing).
 
 #include <gtest/gtest.h>
 
@@ -49,14 +51,39 @@ std::string synthetic_text() {
   return os.str();
 }
 
+std::string session_route_text() {
+  sim::sim_config cfg;
+  cfg.sys = {12, 2};
+  cfg.compromised = spread_compromised(12, 2);
+  cfg.lengths = path_length_distribution::uniform(1, 4);
+  cfg.message_count = 24;
+  cfg.seed = 5;
+  cfg.session.rounds = 4;
+  cfg.session.receiver_count = 6;
+  cfg.session.partner = sim::canonical_partner(6);
+  cfg.session.target_sender = 1;
+  cfg.session.attack = attack::attack_kind::sda;
+  cfg.session.stream = workload::stream_backend::sketch;
+  cfg.topology.kind = net::topology_kind::ring;
+  cfg.topology.ring_k = 2;
+  cfg.routing = {net::route_select::kpaths, 2};
+  std::ostringstream os;
+  sim::write_trace(sim::capture_trace(cfg), os);
+  return os.str();
+}
+
 /// The property under test: one corrupted input neither crashes nor leaks a
-/// contract violation. Successful parses are additionally fed to replay —
-/// the parser promised the result satisfies replay's preconditions.
+/// contract violation. Successful parses hold a config the simulator can
+/// run, and some are fed to replay — the parser promised the result
+/// satisfies replay's preconditions.
 void expect_graceful(const std::string& text, const std::string& what,
                      int* replays_left) {
   try {
     std::istringstream is(text);
     const sim::sim_trace trace = sim::read_trace(is);
+    const char* problem = sim::config_problem(trace.config);
+    EXPECT_TRUE(problem == nullptr)
+        << what << ": accepted a config that cannot run: " << problem;
     if (replays_left != nullptr && *replays_left > 0) {
       --*replays_left;
       (void)sim::replay_trace(trace);
@@ -88,6 +115,10 @@ TEST(TraceFuzz, GoldenCorpusNeverCrashesTheParser) {
 
 TEST(TraceFuzz, FaultAndRetryCorpusNeverCrashesTheParser) {
   fuzz_corpus(synthetic_text(), "synthetic");
+}
+
+TEST(TraceFuzz, SessionAndRoutingCorpusNeverCrashesTheParser) {
+  fuzz_corpus(session_route_text(), "session-route");
 }
 
 TEST(TraceFuzz, HostileCountsAreRejectedWithoutAllocating) {

@@ -126,15 +126,14 @@ struct options {
   std::uint32_t messages = 2000;
   bool messages_set = false;  ///< campaign defaults to 500 messages
   std::uint64_t seed = 1;
-  double drop = 0.0;
   bool breakdown = false;
   std::uint64_t samples = 100000;
   unsigned threads = 0;
   std::uint64_t shards = 0;
   bool dedup = true;
   // Axes: every value seen (comma lists and repeats on campaign/merge, at
-  // most one value elsewhere; --n, --c, --dist and --drop also keep it in
-  // the scalars above).
+  // most one value elsewhere; --n, --c and --dist also keep it in the
+  // scalars above).
   std::vector<std::uint32_t> n_list;
   std::vector<std::uint32_t> c_list;
   std::vector<path_length_distribution> dist_list;
@@ -585,91 +584,88 @@ int cmd_optimize(const options& opt) {
   return 0;
 }
 
+/// The scenario grid the flags describe, with `messages` per run:
+/// 'campaign' and 'merge' sweep it, 'simulate' and 'capture' run its one
+/// cell (the flag parser allows them one value per axis). Refused here is
+/// only what no single config can judge: a flag given without the flags it
+/// needs, and out-of-range axis values. Which configs can run is
+/// sim::config_problem's to say.
+sim::campaign_grid flag_grid(const options& opt, std::uint32_t messages) {
+  if (opt.receiver_law_set && opt.population_list.empty() &&
+      opt.rounds_list.empty())
+    usage(std::string("--receiver-law on '") + opt.cmd->name +
+          "' needs session axes (--population/--rounds); it is the "
+          "session destination law");
+  // Session axes must be swept together: a --population axis with no
+  // --rounds axis (or vice versa) would make every session cell incoherent
+  // and silently filter the sweep the user asked for down to its
+  // session-less cells.
+  const auto any_not = [](const auto& axis, auto off) {
+    return std::ranges::any_of(axis, [off](auto v) { return v != off; });
+  };
+  const bool wants_rounds = any_not(opt.rounds_list, 0u);
+  if (any_not(opt.population_list, 0u) != wants_rounds)
+    usage("session axes come in pairs: sweep --population and --rounds "
+          "together (zeros in either list mean 'session off' cells)");
+  if (any_not(opt.attack_list, attack::attack_kind::none) && !wants_rounds)
+    usage(std::string("--attack on '") + opt.cmd->name +
+          "' needs the session axes (--population/--rounds)");
+  // A sketch backend only pairs with sda cells; demanding the sda axis up
+  // front beats silently filtering every sketch cell out as infeasible.
+  if (any_not(opt.stream_list, workload::stream_backend::exact) &&
+      std::ranges::find(opt.attack_list, attack::attack_kind::sda) ==
+          opt.attack_list.end())
+    usage(std::string("--stream sketch on '") + opt.cmd->name +
+          "' needs sda on the --attack axis (the sketch backend exists "
+          "for the counting attack only)");
+  sim::campaign_grid grid;
+  if (!opt.n_list.empty()) grid.node_counts = opt.n_list;
+  if (!opt.c_list.empty()) grid.compromised_counts = opt.c_list;
+  if (!opt.dist_list.empty()) grid.lengths = opt.dist_list;
+  if (!opt.mode_list.empty()) grid.modes = opt.mode_list;
+  if (!opt.drop_list.empty()) grid.drop_probabilities = opt.drop_list;
+  if (!opt.rate_list.empty()) grid.arrival_rates = opt.rate_list;
+  if (!opt.adversary_list.empty()) grid.adversaries = opt.adversary_list;
+  if (!opt.topology_list.empty()) grid.topologies = opt.topology_list;
+  if (!opt.routing_list.empty()) grid.routings = opt.routing_list;
+  if (!opt.churn_list.empty()) grid.churns = opt.churn_list;
+  if (!opt.mixfail_list.empty()) grid.mix_failures = opt.mixfail_list;
+  if (!opt.retry_list.empty()) grid.retries = opt.retry_list;
+  grid.fault_outages = opt.crash_list;
+  if (!opt.population_list.empty()) grid.populations = opt.population_list;
+  if (!opt.rounds_list.empty()) grid.session_rounds = opt.rounds_list;
+  if (!opt.attack_list.empty()) grid.attacks = opt.attack_list;
+  if (!opt.stream_list.empty()) grid.streams = opt.stream_list;
+  grid.session_receiver_law = opt.receiver_law;
+  grid.message_count = messages;
+  grid.identified_threshold = opt.threshold;
+  // Out-of-range axis values are a hard error at parse time, not a silent
+  // feasibility filter: a sweep must never quietly shrink.
+  for (double d : grid.drop_probabilities)
+    if (!(d >= 0.0 && d < 1.0)) usage("--drop values must be in [0, 1)");
+  for (double r : grid.arrival_rates)
+    if (!(r > 0.0)) usage("--rate values must be > 0");
+  for (std::uint32_t p : grid.populations)
+    if (p == 1)
+      usage("--population values must be 0 (session off) or >= 2");
+  for (std::uint32_t r : grid.session_rounds)
+    if (r > grid.message_count)
+      usage("--rounds values must be <= --messages (at least one message "
+            "per mix round)");
+  return grid;
+}
+
+/// The one config 'simulate' and 'capture' run: the flags' one-cell grid,
+/// with simulate's defaults (U(1,8) path lengths, 2000 messages).
 sim::sim_config simulate_config(const options& opt) {
-  sim::sim_config cfg;
-  cfg.sys = {opt.n, opt.c};
-  cfg.compromised = spread_compromised(opt.n, opt.c);
-  cfg.lengths = opt.dist.value_or(path_length_distribution::uniform(1, 8));
-  if (opt.n >= 1 && cfg.lengths.max_length() > opt.n - 1)
-    usage("--dist reaches beyond N-1 hops: a simple path in an --n node "
-          "network has at most N-1 intermediates");
-  if (!opt.mode_list.empty()) cfg.mode = opt.mode_list.front();
-  cfg.message_count = opt.messages;
-  cfg.seed = opt.seed;
-  if (!(opt.drop >= 0.0 && opt.drop < 1.0))
-    usage("--drop must be in [0, 1)");
-  cfg.faults.drop_probability = opt.drop;
-  if (!opt.retry_list.empty()) cfg.retry = opt.retry_list.front();
-  if (!opt.mixfail_list.empty())
-    cfg.faults.mix_failures = opt.mixfail_list.front();
-  for (const net::outage& o : opt.crash_list)
-    if (o.node >= opt.n)
-      usage("--crash node out of range for --n");
-  cfg.faults.outages = opt.crash_list;
-  cfg.identified_threshold = opt.threshold;
-  if (!opt.adversary_list.empty()) cfg.adversary = opt.adversary_list.front();
-  if (!opt.topology_list.empty()) {
-    cfg.topology = opt.topology_list.front();
-    if (!cfg.topology.valid_for(opt.n))
-      usage("--topology parameters out of range for --n");
-    if (cfg.topology.kind != net::topology_kind::complete &&
-        cfg.adversary.kind == sim::adversary_kind::timing_correlator)
-      usage("--adversary timing is not supported on a restricted --topology");
-  }
-  if (!opt.churn_list.empty()) cfg.faults.churn = opt.churn_list.front();
-  if (!opt.routing_list.empty()) {
-    cfg.routing = opt.routing_list.front();
-    if (cfg.routing.planned()) {
-      if (cfg.mode != routing_mode::source_routed)
-        usage("--routing kpaths requires onion (source-routed) mode; crowds "
-              "forwarding has no planned-path analogue");
-      if (cfg.adversary.kind == sim::adversary_kind::timing_correlator)
-        usage("--adversary timing is not supported with --routing kpaths");
-    }
-  }
-  const std::uint32_t population =
-      opt.population_list.empty() ? 0 : opt.population_list.front();
-  const std::uint32_t rounds =
-      opt.rounds_list.empty() ? 0 : opt.rounds_list.front();
-  if ((population == 0) != (rounds == 0))
-    usage("session mode wants both --population and --rounds (or neither)");
-  if (rounds > 0) {
-    if (cfg.mode != routing_mode::source_routed)
-      usage("session mode (--population/--rounds) requires onion routing; "
-            "crowds mode has no per-message inference to fuse");
-    cfg.session.rounds = rounds;
-    cfg.session.receiver_count = population;
-    cfg.session.partner = sim::canonical_partner(population);
-    cfg.session.receiver_law = opt.receiver_law;
-    if (!opt.attack_list.empty()) cfg.session.attack = opt.attack_list.front();
-    if (!opt.stream_list.empty()) {
-      cfg.session.stream = opt.stream_list.front();
-      if (cfg.session.stream != workload::stream_backend::exact &&
-          cfg.session.attack != attack::attack_kind::sda)
-        usage("--stream sketch requires --attack sda (the sketch backend "
-              "exists for the counting attack only)");
-    }
-    // Honest under the run's *effective* corruption (partial_coverage
-    // draws its own set from the seed, superseding the configured list).
-    cfg.session.target_sender = sim::lowest_honest_node(
-        sim::effective_compromised(cfg.adversary, opt.n, cfg.compromised,
-                                   cfg.seed));
-    if (!cfg.session.valid_for(opt.n, cfg.message_count))
-      usage("session parameters out of range (need --population >= 2 and "
-            "--rounds <= --messages)");
-  } else {
-    if (!opt.attack_list.empty() &&
-        opt.attack_list.front() != attack::attack_kind::none)
-      usage("--attack on 'simulate' needs --population and --rounds");
-    if (opt.receiver_law_set)
-      usage("--receiver-law on 'simulate'/'capture' needs --population and "
-            "--rounds (it is the session destination law)");
-    if (!opt.stream_list.empty())
-      usage("--stream on 'simulate'/'capture' needs --population and "
-            "--rounds (it selects the session attack's accumulator "
-            "backend)");
-  }
-  return cfg;
+  sim::campaign_grid grid = flag_grid(opt, opt.messages);
+  if (opt.dist_list.empty())
+    grid.lengths = {path_length_distribution::uniform(1, 8)};
+  const sim::scenario cell = sim::first_cell(grid);
+  if (const char* problem =
+          sim::config_problem(sim::scenario_base_config(cell, grid)))
+    usage(problem);
+  return sim::scenario_config(cell, grid, opt.seed);
 }
 
 void print_sim_report(const sim::sim_config& cfg, const sim::sim_report& r) {
@@ -768,93 +764,14 @@ int cmd_replay(const options& opt) {
 /// IDENTICAL grid — same flags, same validation — to recompute the scope
 /// fingerprint the shard journals are checked against).
 sim::campaign_grid build_campaign_grid(const options& opt) {
-  if (opt.receiver_law_set && opt.population_list.empty() &&
-      opt.rounds_list.empty())
-    usage(std::string("--receiver-law on '") + opt.cmd->name +
-          "' needs session axes (--population/--rounds); it is the "
-          "session destination law");
-  // Session axes must be swept together: a --population axis with no
-  // --rounds axis (or vice versa) would make every session cell incoherent
-  // and silently filter the sweep the user asked for down to its
-  // session-less cells.
-  const auto has_nonzero = [](const std::vector<std::uint32_t>& v) {
-    for (std::uint32_t x : v)
-      if (x != 0) return true;
-    return false;
-  };
-  const bool wants_population = has_nonzero(opt.population_list);
-  const bool wants_rounds = has_nonzero(opt.rounds_list);
-  if (wants_population != wants_rounds)
-    usage("session axes come in pairs: sweep --population and --rounds "
-          "together (zeros in either list mean 'session off' cells)");
-  const bool wants_attack = [&opt] {
-    for (attack::attack_kind k : opt.attack_list)
-      if (k != attack::attack_kind::none) return true;
-    return false;
-  }();
-  if (wants_attack && !wants_rounds)
-    usage("--attack on 'campaign' needs the session axes "
-          "(--population/--rounds)");
-  // A sketch backend only pairs with sda cells; demanding the sda axis up
-  // front beats silently filtering every sketch cell out as infeasible.
-  const bool wants_sketch = [&opt] {
-    for (workload::stream_backend s : opt.stream_list)
-      if (s != workload::stream_backend::exact) return true;
-    return false;
-  }();
-  if (wants_sketch) {
-    bool has_sda = false;
-    for (attack::attack_kind k : opt.attack_list)
-      if (k == attack::attack_kind::sda) has_sda = true;
-    if (!has_sda)
-      usage("--stream sketch on 'campaign' needs sda on the --attack axis "
-            "(the sketch backend exists for the counting attack only)");
-  }
-  sim::campaign_grid grid;
-  if (!opt.n_list.empty()) grid.node_counts = opt.n_list;
-  if (!opt.c_list.empty()) grid.compromised_counts = opt.c_list;
-  if (!opt.dist_list.empty()) grid.lengths = opt.dist_list;
-  if (!opt.mode_list.empty()) grid.modes = opt.mode_list;
-  if (!opt.drop_list.empty()) grid.drop_probabilities = opt.drop_list;
-  if (!opt.rate_list.empty()) grid.arrival_rates = opt.rate_list;
-  if (!opt.adversary_list.empty()) grid.adversaries = opt.adversary_list;
-  if (!opt.topology_list.empty()) grid.topologies = opt.topology_list;
-  if (!opt.routing_list.empty()) grid.routings = opt.routing_list;
-  if (!opt.churn_list.empty()) grid.churns = opt.churn_list;
-  if (!opt.mixfail_list.empty()) grid.mix_failures = opt.mixfail_list;
-  if (!opt.retry_list.empty()) grid.retries = opt.retry_list;
-  grid.fault_outages = opt.crash_list;
-  if (!opt.population_list.empty()) grid.populations = opt.population_list;
-  if (!opt.rounds_list.empty()) grid.session_rounds = opt.rounds_list;
-  if (!opt.attack_list.empty()) grid.attacks = opt.attack_list;
-  if (!opt.stream_list.empty()) grid.streams = opt.stream_list;
-  grid.session_receiver_law = opt.receiver_law;
-  grid.message_count = opt.messages_set ? opt.messages : 500;
-  grid.identified_threshold = opt.threshold;
-  // Out-of-range axis values are a hard error at parse time, not a silent
-  // feasibility filter: a sweep must never quietly shrink.
-  for (double d : grid.drop_probabilities)
-    if (!(d >= 0.0 && d < 1.0)) usage("--drop values must be in [0, 1)");
-  for (double r : grid.arrival_rates)
-    if (!(r > 0.0)) usage("--rate values must be > 0");
-  for (std::uint32_t p : grid.populations)
-    if (p == 1)
-      usage("--population values must be 0 (session off) or >= 2");
-  for (std::uint32_t r : grid.session_rounds)
-    if (r > grid.message_count)
-      usage("--rounds values must be <= --messages (at least one message "
-            "per mix round)");
-
+  const sim::campaign_grid grid =
+      flag_grid(opt, opt.messages_set ? opt.messages : 500);
   // Surface an empty grid as a usage error here; run_campaign's internal
-  // precondition is not a user-facing message. The usual cause is a
-  // --topology whose parameters fit none of the --n values (or a
-  // timing-adversary x restricted-topology product).
+  // precondition is not a user-facing message.
   if (sim::expand_grid(grid).empty())
-    usage("campaign grid has no feasible cells (check --topology/--churn "
-          "parameters against --n, --adversary timing with restricted "
-          "topologies or --routing kpaths, --routing kpaths with crowds "
-          "mode, and --population/--rounds/--attack coherence: both "
-          "axes on or both off, rounds <= messages, onion mode)");
+    usage(std::string("campaign grid has no feasible cells; its first cell "
+                      "breaks the rule: ") +
+          sim::cell_problem(sim::first_cell(grid), grid));
   return grid;
 }
 
@@ -1423,7 +1340,7 @@ const flag_row k_flags[] = {
      [](options& o, const arg& a) { o.seed = a.u64(); },
      "master seed (default 1)"},
     {"--drop", shape::axis, "<p>", k_sim,
-     [](options& o, const arg& a) { o.drop_list.push_back(o.drop = a.real()); },
+     [](options& o, const arg& a) { o.drop_list.push_back(a.real()); },
      "link-loss probability in [0, 1) (default 0)"},
     {"--rate", shape::axis, "<msgs/s>", k_grid,
      [](options& o, const arg& a) { o.rate_list.push_back(a.real()); },
