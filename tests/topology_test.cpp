@@ -1,9 +1,13 @@
 // Unit layer for the net::topology subsystem: constructor invariants
 // (degree, symmetry, connectivity, weights), parameter validation, labels,
-// the make() dispatch, walk-step sampling membership, and the churn
-// renewal process (determinism, rate-0 inertness, realized transitions).
+// the make() dispatch, walk-step sampling membership, every family's graph
+// pinned by a byte hash, and the churn renewal process (determinism,
+// rate-0 inertness, realized transitions).
 
 #include <gtest/gtest.h>
+
+#include <cstdint>
+#include <vector>
 
 #include "src/net/churn.hpp"
 #include "src/net/topology.hpp"
@@ -203,6 +207,88 @@ TEST(Topology, SampleNeighborStaysOnEdges) {
       const node_id v = t.sample_neighbor(u, gen);
       EXPECT_TRUE(t.has_edge(u, v));
     }
+  }
+}
+
+/// FNV-1a over every byte a topology shows of one graph: the edge count;
+/// per node the degree, neighbour ids, weight bits, cumulative-weight bits,
+/// total-weight bits and four seeded walk draws.
+std::uint64_t graph_hash(const topology& t) {
+  std::uint64_t h = 0xcbf29ce484222325ull;
+  const auto put = [&h](const void* p, std::size_t len) {
+    const auto* b = static_cast<const unsigned char*>(p);
+    for (std::size_t i = 0; i < len; ++i) {
+      h ^= b[i];
+      h *= 0x100000001b3ull;
+    }
+  };
+  const std::uint64_t edges = t.edge_count();
+  put(&edges, sizeof edges);
+  for (node_id u = 0; u < t.node_count(); ++u) {
+    const neighbor_view a = t.adjacency(u);
+    put(&a.size, sizeof a.size);
+    put(a.ids, a.size * sizeof(node_id));
+    put(a.weights, a.size * sizeof(double));
+    put(a.cum, a.size * sizeof(double));
+    const double total = t.total_weight(u);
+    put(&total, sizeof total);
+    stats::rng gen(1000 + u);
+    for (int draw = 0; draw < 4; ++draw) {
+      const node_id v = t.sample_neighbor(u, gen);
+      put(&v, sizeof v);
+    }
+  }
+  return h;
+}
+
+TEST(Topology, EveryFamilyBuildsThePinnedAdjacency) {
+  // Each family's graph, byte for byte, as the generators and the CSR
+  // build wired it when these hashes were taken. A change to either that
+  // moves one id, weight bit or walk draw fails here.
+  struct pinned {
+    std::uint32_t n;
+    topology_kind kind;
+    std::uint32_t param;  ///< ring k, tiers or degree
+    std::uint64_t seed;   ///< random_regular only
+    std::uint64_t hash;
+  };
+  using enum topology_kind;
+  const pinned cases[] = {
+      {7, complete, 0, 0, 0xe3b8c1a9c00bad08ull},
+      {7, ring, 2, 0, 0x775dc1ff179bb916ull},
+      {7, tiered, 3, 0, 0x6a48fde0cdc06ce1ull},
+      {7, trust_weighted, 0, 0, 0x2270c6672b1809adull},
+      {7, random_regular, 2, 9, 0xd4a29c031771c9a6ull},
+      {7, random_regular, 4, 9, 0xbf51e10f74525922ull},
+      {24, complete, 0, 0, 0x164fa747368c1751ull},
+      {24, ring, 2, 0, 0xeb7f57ad032b9683ull},
+      {24, tiered, 3, 0, 0xf5b95dd753066861ull},
+      {24, trust_weighted, 0, 0, 0xf7da09878fee7142ull},
+      {24, random_regular, 2, 9, 0xeddfc08739d2ae35ull},
+      {24, random_regular, 3, 9, 0xc965eb937091fb19ull},
+      {24, random_regular, 4, 9, 0x130983895a0b3cafull},
+      {101, complete, 0, 0, 0xfcd9077ceeaef64cull},
+      {101, ring, 2, 0, 0xe2ee14c474cd65cbull},
+      {101, tiered, 3, 0, 0xf9fe54e88d10df81ull},
+      {101, trust_weighted, 0, 0, 0xd320db4437893f94ull},
+      {101, random_regular, 2, 9, 0x5c7ea6f6e2dcaefdull},
+      {101, random_regular, 4, 9, 0xf6310f2550eb9c2aull},
+      {5000, random_regular, 4, 3, 0x0a864b8b58e025bcull},
+  };
+  for (const pinned& c : cases) {
+    topology_config cfg;
+    cfg.kind = c.kind;
+    if (c.kind == ring) cfg.ring_k = c.param;
+    if (c.kind == tiered) cfg.tiers = c.param;
+    if (c.kind == trust_weighted) cfg.trust_decay = 0.6;
+    if (c.kind == random_regular) {
+      cfg.degree = c.param;
+      cfg.graph_seed = c.seed;
+    }
+    EXPECT_EQ(graph_hash(topology::make(c.n, cfg)), c.hash)
+        << cfg.label() << " N=" << c.n;
+    EXPECT_EQ(graph_hash(topology::make_csr(c.n, cfg)), c.hash)
+        << cfg.label() << " N=" << c.n << " (make_csr)";
   }
 }
 
