@@ -33,12 +33,11 @@
 /// walk segments), and net::estimate_topology_degree is the walk-model
 /// Monte-Carlo H* estimator. The conformance suite pins oracle and engine
 /// to each other, and the clique instance to cyclic_brute_force_analyzer.
-/// For large graphs, net::topology::make_csr builds the same graph in flat
-/// compressed-sparse-row arrays (adjacency views are element-identical
-/// across storage modes; million-node construction is sub-second), and
-/// src/net/route_plan.hpp adds planning on top of the views: binary-heap
-/// Dijkstra, Yen k-shortest loopless paths, connected components (whole
-/// and masked), and net::route_planner — the source-routed kpaths model
+/// Every graph is stored in flat compressed-sparse-row arrays, which is
+/// what lets million-node graphs fit, and src/net/route_plan.hpp adds
+/// planning on top of the adjacency views: binary-heap Dijkstra, Yen
+/// k-shortest loopless paths, connected components (whole and masked),
+/// and net::route_planner — the source-routed kpaths model
 /// (exit uniform, path ~ 1/cost among the k best) whose scoring uses
 /// net::approx_topology_posterior, the restricted-path DP pruned to the
 /// k-path support and pinned to the exact engine when the support is full.

@@ -22,12 +22,12 @@ void enumerate_walks(const topology& topo, route& r, double prob,
     return;
   }
   const node_id cur = r.hops.empty() ? r.sender : r.hops.back();
-  const auto& nbr = topo.neighbors(cur);
-  const auto& w = topo.neighbor_weights(cur);
+  const neighbor_view a = topo.adjacency(cur);
   const double total = topo.total_weight(cur);
-  for (std::size_t i = 0; i < nbr.size(); ++i) {
-    r.hops.push_back(nbr[i]);
-    enumerate_walks(topo, r, prob * (w[i] / total), remaining - 1, emit);
+  for (std::uint32_t i = 0; i < a.size; ++i) {
+    r.hops.push_back(a.ids[i]);
+    enumerate_walks(topo, r, prob * (a.weights[i] / total), remaining - 1,
+                    emit);
     r.hops.pop_back();
   }
 }

@@ -58,8 +58,8 @@ struct plan_counters {
 
 /// Binary-heap Dijkstra over the whole graph. Deterministic: equal
 /// tentative distances pop in ascending node-id order, so the tree (and
-/// every path read out of it) is a pure function of the graph. Works in
-/// either storage mode; on CSR this is the million-node workhorse.
+/// every path read out of it) is a pure function of the graph; this is
+/// the million-node workhorse.
 /// O((V + E) log V). Precondition: source < node_count.
 [[nodiscard]] shortest_path_tree dijkstra(const topology& topo,
                                           node_id source,

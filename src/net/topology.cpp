@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstdio>
 #include <numeric>
+#include <tuple>
 #include <unordered_set>
 #include <utility>
 
@@ -71,9 +72,8 @@ std::uint64_t edge_key(node_id u, node_id v) {
 }
 
 /// Union-find connectivity over an edge list: the same answer a BFS over
-/// the built adjacency gives, without materializing it — the per-attempt
-/// connectivity check in the random_regular generator runs on the raw edge
-/// list this way.
+/// the built adjacency gives, without materializing it. The random_regular
+/// generator runs it per attempt, and finalize() asserts it for every graph.
 bool edges_connect(std::uint32_t n, const std::vector<weighted_edge>& edges) {
   std::vector<node_id> parent(n);
   std::iota(parent.begin(), parent.end(), 0u);
@@ -215,7 +215,7 @@ void build_trust_edges(std::uint32_t n, double decay,
     }
 }
 
-/// The one edge-list generator both storage modes consume. Preconditions:
+/// The one edge-list generator finalize() consumes. Preconditions:
 /// cfg.valid_for(n).
 void build_edges(std::uint32_t n, const topology_config& cfg,
                  std::vector<weighted_edge>& out) {
@@ -241,139 +241,69 @@ void build_edges(std::uint32_t n, const topology_config& cfg,
 
 }  // namespace
 
-topology::topology(std::uint32_t n, topology_config cfg, bool csr)
-    : n_(n), cfg_(cfg), csr_(csr), total_(n, 0.0) {
-  if (!csr_) {
-    adj_.resize(n);
-    weights_.resize(n);
-    cum_.resize(n);
-  }
-}
+topology::topology(std::uint32_t n, topology_config cfg)
+    : n_(n), cfg_(cfg), total_(n, 0.0) {}
 
-void topology::add_edge(node_id u, node_id v, double w) {
-  adj_[u].push_back(v);
-  weights_[u].push_back(w);
-  adj_[v].push_back(u);
-  weights_[v].push_back(w);
-}
-
-void topology::finalize() {
-  min_degree_ = ~0u;
-  max_degree_ = 0;
-  std::uint64_t directed = 0;
-  for (node_id u = 0; u < n_; ++u) {
-    // Sort adjacency ascending, carrying weights along.
-    std::vector<std::size_t> order(adj_[u].size());
-    for (std::size_t i = 0; i < order.size(); ++i) order[i] = i;
-    std::sort(order.begin(), order.end(), [&](std::size_t a, std::size_t b) {
-      return adj_[u][a] < adj_[u][b];
-    });
-    std::vector<node_id> nbr(adj_[u].size());
-    std::vector<double> w(adj_[u].size());
-    for (std::size_t i = 0; i < order.size(); ++i) {
-      nbr[i] = adj_[u][order[i]];
-      w[i] = weights_[u][order[i]];
-    }
-    adj_[u] = std::move(nbr);
-    weights_[u] = std::move(w);
-
-    cum_[u].resize(adj_[u].size());
-    double acc = 0.0;
-    for (std::size_t i = 0; i < adj_[u].size(); ++i) {
-      ANONPATH_EXPECTS(adj_[u][i] != u);  // no self-loops
-      ANONPATH_EXPECTS(i == 0 || adj_[u][i] != adj_[u][i - 1]);  // simple
-      ANONPATH_EXPECTS(weights_[u][i] > 0.0);
-      acc += weights_[u][i];
-      cum_[u][i] = acc;
-      if (uniform_weights_ && weights_[u][i] != weights_[u][0])
-        uniform_weights_ = false;
-    }
-    total_[u] = acc;
-    const auto deg = static_cast<std::uint32_t>(adj_[u].size());
-    directed += deg;
-    min_degree_ = std::min(min_degree_, deg);
-    max_degree_ = std::max(max_degree_, deg);
-  }
-  edge_count_ = directed / 2;
-  ANONPATH_ENSURES(min_degree_ >= 1);
-  ANONPATH_ENSURES(connected());
-}
-
-void topology::finalize_csr(const std::vector<weighted_edge>& edges) {
-  // Expand each undirected edge into its two directed arcs, sort by
-  // (source, target), and lay the result out flat. The per-node segments
-  // come out ascending by construction — the same element order
-  // finalize()'s per-node sort produces.
-  struct arc {
-    std::uint64_t key;  // source << 32 | target
-    double w;
-  };
-  std::vector<arc> arcs;
-  arcs.reserve(edges.size() * 2);
+void topology::finalize(const std::vector<weighted_edge>& edges) {
+  // Counting sort by source: degrees, their prefix sums as row offsets,
+  // then both arcs of each edge scattered straight into their rows. A row
+  // holds its arcs in edge-list order.
+  csr_off_.assign(static_cast<std::size_t>(n_) + 1, 0);
   for (const weighted_edge& e : edges) {
     ANONPATH_EXPECTS(e.u < n_ && e.v < n_);
     ANONPATH_EXPECTS(e.u != e.v);  // no self-loops
     ANONPATH_EXPECTS(e.w > 0.0);
-    arcs.push_back({(static_cast<std::uint64_t>(e.u) << 32) | e.v, e.w});
-    arcs.push_back({(static_cast<std::uint64_t>(e.v) << 32) | e.u, e.w});
-  }
-  std::sort(arcs.begin(), arcs.end(),
-            [](const arc& a, const arc& b) { return a.key < b.key; });
-
-  csr_off_.assign(static_cast<std::size_t>(n_) + 1, 0);
-  csr_nbr_.resize(arcs.size());
-  csr_w_.resize(arcs.size());
-  csr_cum_.resize(arcs.size());
-  for (std::size_t i = 0; i < arcs.size(); ++i) {
-    ANONPATH_EXPECTS(i == 0 || arcs[i].key != arcs[i - 1].key);  // simple
-    csr_off_[static_cast<std::size_t>(arcs[i].key >> 32) + 1] += 1;
-    csr_nbr_[i] = static_cast<node_id>(arcs[i].key & 0xFFFFFFFFull);
-    csr_w_[i] = arcs[i].w;
+    ++csr_off_[e.u + 1];
+    ++csr_off_[e.v + 1];
   }
   for (std::size_t u = 0; u < n_; ++u) csr_off_[u + 1] += csr_off_[u];
+  csr_nbr_.resize(edges.size() * 2);
+  csr_w_.resize(edges.size() * 2);
+  csr_cum_.resize(edges.size() * 2);
+  std::vector<std::uint64_t> next(csr_off_.begin(), csr_off_.end() - 1);
+  for (const weighted_edge& e : edges) {
+    const std::uint64_t i = next[e.u]++;
+    csr_nbr_[i] = e.v;
+    csr_w_[i] = e.w;
+    const std::uint64_t j = next[e.v]++;
+    csr_nbr_[j] = e.u;
+    csr_w_[j] = e.w;
+  }
 
+  // Rows the generator already emitted ascending (complete, tiered, trust)
+  // stay as they are; the rest (ring wraps, random_regular) are sorted by
+  // neighbor id, carrying the weights along.
+  std::vector<std::pair<node_id, double>> row;
   min_degree_ = ~0u;
   max_degree_ = 0;
   for (node_id u = 0; u < n_; ++u) {
+    const std::uint64_t b = csr_off_[u];
+    const std::uint64_t e = csr_off_[u + 1];
+    if (!std::is_sorted(csr_nbr_.begin() + b, csr_nbr_.begin() + e)) {
+      row.clear();
+      for (std::uint64_t i = b; i < e; ++i)
+        row.emplace_back(csr_nbr_[i], csr_w_[i]);
+      std::sort(row.begin(), row.end());
+      for (std::uint64_t i = b; i < e; ++i)
+        std::tie(csr_nbr_[i], csr_w_[i]) = row[i - b];
+    }
     double acc = 0.0;
-    for (std::uint64_t i = csr_off_[u]; i < csr_off_[u + 1]; ++i) {
+    for (std::uint64_t i = b; i < e; ++i) {
+      ANONPATH_EXPECTS(i == b || csr_nbr_[i] != csr_nbr_[i - 1]);  // simple
       acc += csr_w_[i];
       csr_cum_[i] = acc;
-      // Per-node uniformity, exactly as finalize() detects it: uniform
-      // weights within each node's list are what let the sampler take the
-      // single next_below draw.
-      if (uniform_weights_ && csr_w_[i] != csr_w_[csr_off_[u]])
-        uniform_weights_ = false;
+      // Uniform weights within each node's row are what let the sampler
+      // take the single next_below draw.
+      if (uniform_weights_ && csr_w_[i] != csr_w_[b]) uniform_weights_ = false;
     }
     total_[u] = acc;
-    const auto deg = static_cast<std::uint32_t>(csr_off_[u + 1] - csr_off_[u]);
+    const auto deg = static_cast<std::uint32_t>(e - b);
     min_degree_ = std::min(min_degree_, deg);
     max_degree_ = std::max(max_degree_, deg);
   }
   edge_count_ = edges.size();
   ANONPATH_ENSURES(min_degree_ >= 1);
-  ANONPATH_ENSURES(connected());
-}
-
-bool topology::connected() const {
-  std::vector<bool> seen(n_, false);
-  std::vector<node_id> stack{0};
-  seen[0] = true;
-  std::uint32_t reached = 1;
-  while (!stack.empty()) {
-    const node_id u = stack.back();
-    stack.pop_back();
-    const neighbor_view a = adjacency(u);
-    for (std::uint32_t i = 0; i < a.size; ++i) {
-      const node_id v = a.ids[i];
-      if (!seen[v]) {
-        seen[v] = true;
-        ++reached;
-        stack.push_back(v);
-      }
-    }
-  }
-  return reached == n_;
+  ANONPATH_ENSURES(edges_connect(n_, edges));
 }
 
 topology topology::complete(std::uint32_t node_count) {
@@ -414,50 +344,22 @@ topology topology::make(std::uint32_t node_count, const topology_config& cfg) {
   ANONPATH_EXPECTS(cfg.valid_for(node_count));
   std::vector<weighted_edge> edges;
   build_edges(node_count, cfg, edges);
-  topology t(node_count, cfg, /*csr=*/false);
-  for (const weighted_edge& e : edges) t.add_edge(e.u, e.v, e.w);
-  t.finalize();
-  return t;
-}
-
-topology topology::make_csr(std::uint32_t node_count,
-                            const topology_config& cfg) {
-  ANONPATH_EXPECTS(cfg.valid_for(node_count));
-  std::vector<weighted_edge> edges;
-  build_edges(node_count, cfg, edges);
-  topology t(node_count, cfg, /*csr=*/true);
-  t.finalize_csr(edges);
+  topology t(node_count, cfg);
+  t.finalize(edges);
   return t;
 }
 
 neighbor_view topology::adjacency(node_id u) const {
   ANONPATH_EXPECTS(u < n_);
-  if (csr_) {
-    const std::uint64_t b = csr_off_[u];
-    const std::uint64_t e = csr_off_[u + 1];
-    return {csr_nbr_.data() + b, csr_w_.data() + b, csr_cum_.data() + b,
-            static_cast<std::uint32_t>(e - b)};
-  }
-  return {adj_[u].data(), weights_[u].data(), cum_[u].data(),
-          static_cast<std::uint32_t>(adj_[u].size())};
+  const std::uint64_t b = csr_off_[u];
+  const std::uint64_t e = csr_off_[u + 1];
+  return {csr_nbr_.data() + b, csr_w_.data() + b, csr_cum_.data() + b,
+          static_cast<std::uint32_t>(e - b)};
 }
 
 std::uint32_t topology::degree(node_id u) const {
   ANONPATH_EXPECTS(u < n_);
-  if (csr_) return static_cast<std::uint32_t>(csr_off_[u + 1] - csr_off_[u]);
-  return static_cast<std::uint32_t>(adj_[u].size());
-}
-
-const std::vector<node_id>& topology::neighbors(node_id u) const {
-  ANONPATH_EXPECTS(u < n_);
-  ANONPATH_EXPECTS(!csr_);  // vector-mode accessor; CSR uses adjacency()
-  return adj_[u];
-}
-
-const std::vector<double>& topology::neighbor_weights(node_id u) const {
-  ANONPATH_EXPECTS(u < n_);
-  ANONPATH_EXPECTS(!csr_);  // vector-mode accessor; CSR uses adjacency()
-  return weights_[u];
+  return static_cast<std::uint32_t>(csr_off_[u + 1] - csr_off_[u]);
 }
 
 bool topology::has_edge(node_id u, node_id v) const {

@@ -58,8 +58,6 @@ struct topology_config {
 };
 
 /// One undirected weighted edge, as produced by the per-family generators.
-/// Both storage modes of `topology` are built from the same edge list, which
-/// is what makes them element-identical per node.
 struct weighted_edge {
   node_id u = 0;
   node_id v = 0;
@@ -69,7 +67,7 @@ struct weighted_edge {
 /// A borrowed, non-owning view of one node's sorted adjacency: neighbor
 /// ids ascending, the parallel edge weights, and the inclusive cumulative
 /// weight table the walk sampler inverts. Valid as long as the owning
-/// topology lives; identical contents whichever storage mode backs it.
+/// topology lives.
 struct neighbor_view {
   const node_id* ids = nullptr;
   const double* weights = nullptr;
@@ -88,32 +86,25 @@ struct neighbor_view {
 /// the complete graph, which is how the clique machinery stays a special
 /// case — see cyclic_brute_force_analyzer and the conformance suite).
 ///
-/// Two storage modes share this one type:
-///   * vector mode (the default, `make` and the named constructors):
-///     per-node std::vector adjacency — cheap to build, the right shape for
-///     the small/medium-N inference engines, and bit-identical to every
-///     release before CSR existed;
-///   * CSR mode (`make_csr`): three flat arrays (offsets, neighbors,
-///     weights) plus per-node inclusive cumulative-weight sampling tables,
-///     built once from the same edge list and immutable after that. One
-///     allocation per array instead of one per node, which is what lets
-///     million-node graphs fit and route_plan traverse them at memory
-///     bandwidth.
-/// `adjacency(u)` is the mode-independent accessor; the vector-reference
-/// accessors `neighbors`/`neighbor_weights` remain for the small-N engines
-/// and contract-fail on a CSR graph rather than materialize copies.
+/// Storage is compressed sparse rows: flat offset, neighbor and weight
+/// arrays plus per-node inclusive cumulative-weight sampling tables, built
+/// once from the generator's edge list and immutable after that. One
+/// allocation per array instead of one per node is what lets million-node
+/// graphs fit and route_plan traverse them at memory bandwidth.
+/// `adjacency(u)` is the one accessor of a node's neighbors.
 class topology {
  public:
-  /// Builds the graph a config describes (vector mode). Preconditions:
-  /// node_count >= 2, cfg.valid_for(node_count).
+  /// Builds the graph a config describes. Preconditions: node_count >= 2,
+  /// cfg.valid_for(node_count).
   [[nodiscard]] static topology make(std::uint32_t node_count,
                                      const topology_config& cfg);
 
-  /// Builds the same graph `make` would — same generators, same seeds, an
-  /// element-identical adjacency per node — in compressed-sparse-row
-  /// storage. Preconditions mirror `make`.
+  /// Same as `make`. perfbench's plan job (perfbench/driver.cpp) still
+  /// calls it by this name; it goes when that job does.
   [[nodiscard]] static topology make_csr(std::uint32_t node_count,
-                                         const topology_config& cfg);
+                                         const topology_config& cfg) {
+    return make(node_count, cfg);
+  }
 
   /// The paper's clique: every ordered pair linked, uniform weights.
   [[nodiscard]] static topology complete(std::uint32_t node_count);
@@ -147,24 +138,16 @@ class topology {
     return cfg_.kind == topology_kind::complete;
   }
 
-  /// True for graphs built by make_csr.
-  [[nodiscard]] bool is_csr() const noexcept { return csr_; }
-
   /// Undirected edge count (each u~v counted once).
   [[nodiscard]] std::uint64_t edge_count() const noexcept {
     return edge_count_;
   }
 
-  /// u's sorted adjacency in either storage mode. The view borrows from
-  /// this topology and is invalidated by its destruction.
+  /// u's sorted adjacency. The view borrows from this topology and is
+  /// invalidated by its destruction.
   [[nodiscard]] neighbor_view adjacency(node_id u) const;
 
   [[nodiscard]] std::uint32_t degree(node_id u) const;
-
-  /// Neighbors of u, ascending; parallel to neighbor_weights(u).
-  /// Vector mode only (the small-N engines); CSR callers use adjacency().
-  [[nodiscard]] const std::vector<node_id>& neighbors(node_id u) const;
-  [[nodiscard]] const std::vector<double>& neighbor_weights(node_id u) const;
 
   [[nodiscard]] bool has_edge(node_id u, node_id v) const;
 
@@ -179,43 +162,29 @@ class topology {
 
   /// Draws the next hop from u per the walk model. Uniform-weight graphs
   /// use a single next_below draw; weighted graphs invert the per-node
-  /// cumulative weight table. Draw-identical across storage modes.
+  /// cumulative weight table.
   [[nodiscard]] node_id sample_neighbor(node_id u, stats::rng& gen) const;
 
   [[nodiscard]] std::uint32_t min_degree() const noexcept { return min_degree_; }
   [[nodiscard]] std::uint32_t max_degree() const noexcept { return max_degree_; }
 
-  /// True when every node reaches every other (constructors guarantee it;
-  /// exposed so tests can assert the invariant directly).
-  [[nodiscard]] bool connected() const;
-
  private:
-  topology(std::uint32_t n, topology_config cfg, bool csr);
+  topology(std::uint32_t n, topology_config cfg);
 
-  /// Registers the undirected edge u~v with the given weight (vector mode).
-  void add_edge(node_id u, node_id v, double w);
-
-  /// Sorts adjacency, builds cumulative tables, checks invariants.
-  void finalize();
-
-  /// Builds the flat CSR arrays from an undirected edge list, then runs
-  /// the same invariant checks finalize() does.
-  void finalize_csr(const std::vector<weighted_edge>& edges);
+  /// Lays an undirected edge list out as sorted CSR rows, builds the
+  /// cumulative tables and checks every invariant: ends in range, no
+  /// self-loops, w > 0, simple, min degree >= 1, connected.
+  void finalize(const std::vector<weighted_edge>& edges);
 
   std::uint32_t n_ = 0;
   topology_config cfg_;
-  bool csr_ = false;
   bool uniform_weights_ = true;
   std::uint32_t min_degree_ = 0;
   std::uint32_t max_degree_ = 0;
   std::uint64_t edge_count_ = 0;
-  std::vector<std::vector<node_id>> adj_;
-  std::vector<std::vector<double>> weights_;
-  std::vector<std::vector<double>> cum_;    // inclusive cumulative weights
   std::vector<double> total_;
-  // CSR mode: adjacency of u lives at [csr_off_[u], csr_off_[u+1]) in the
-  // three parallel arrays below; csr_cum_ holds the per-node inclusive
-  // cumulative weights (the same table cum_ holds per node).
+  // The adjacency of u lives at [csr_off_[u], csr_off_[u+1]) in the three
+  // parallel arrays below; csr_cum_ holds u's inclusive cumulative weights.
   std::vector<std::uint64_t> csr_off_;
   std::vector<node_id> csr_nbr_;
   std::vector<double> csr_w_;

@@ -287,6 +287,47 @@ TEST_F(CliParse, EveryRunnabilityRuleIsAUsageError) {
   }
 }
 
+TEST_F(CliParse, AnalyticCommandsRefuseWhatTheirEnginesCannotScore) {
+  // Each of these once reached a library precondition (exit 1), or, for
+  // C = N, scored a system with no honest node. Each is a usage error
+  // naming its rule now.
+  struct rule_case {
+    const char* args;
+    const char* names;  // part of the diagnostic
+  };
+  const std::vector<rule_case> cases = {
+      {"estimate --n 20 --c 25 --samples 10", "C < N"},
+      {"estimate --n 20 --c 20 --samples 10", "C < N"},
+      {"estimate --n 1", "N >= 2"},
+      {"estimate --n 2 --c 1 --samples 10", "path lengths <= N-1"},
+      {"estimate --n 5 --dist F:9 --samples 10", "path lengths <= N-1"},
+      {"degree --n 0", "N >= 5"},
+      {"degree --n 2 --dist F:1", "N >= 5"},
+      {"degree --n 5 --dist F:9", "path lengths <= N-1"},
+      {"figures --n 2", "N >= 5"},
+      {"optimize --n 1", "N >= 5"},
+      {"optimize --n 10 --mean 20", "0 <= mean <= N-1"},
+      {"optimize --n 10 --mean -1", "0 <= mean <= N-1"},
+  };
+  for (const rule_case& c : cases) {
+    const run_result r = run_cli(c.args);
+    EXPECT_EQ(r.exit_code, 2) << "anonpath " << c.args;
+    EXPECT_NE(r.stderr_text.find("error: "), std::string::npos)
+        << "anonpath " << c.args;
+    EXPECT_EQ(r.stderr_text.find("precondition failed"), std::string::npos)
+        << "anonpath " << c.args << "\n" << r.stderr_text;
+    EXPECT_NE(r.stderr_text.find(c.names), std::string::npos)
+        << "anonpath " << c.args << "\n" << r.stderr_text;
+  }
+  // Positive controls: each rule's boundary still runs, and a walk on a
+  // graph may be longer than a simple path.
+  for (const char* args :
+       {"estimate --n 20 --c 19 --samples 10", "degree --n 5 --dist F:4",
+        "optimize --n 5 --mean 4", "optimize --n 5 --mean 0", "figures --n 5",
+        "estimate --n 8 --dist F:9 --topology ring:2 --samples 10"})
+    EXPECT_EQ(run_cli(args).exit_code, 0) << "anonpath " << args;
+}
+
 TEST_F(CliParse, RoutingFlagValidation) {
   for (const char* args :
        {"simulate --n 20 --c 2 --routing bogus",

@@ -2,7 +2,7 @@
 // k-shortest-paths pinned against exhaustive simple-path enumeration on
 // N <= 8 fixtures, the goal-directed Yen pinned bit for bit to a plain
 // masked-Dijkstra reference Yen, connected components (full and masked),
-// CSR/vector storage equivalence, and the route_planner's selection model.
+// Dijkstra on a 50k-node graph, and the route_planner's selection model.
 
 #include <gtest/gtest.h>
 
@@ -15,7 +15,6 @@
 
 #include "src/net/route_plan.hpp"
 #include "src/net/topology.hpp"
-#include "src/stats/contract.hpp"
 #include "src/stats/rng.hpp"
 
 namespace anonpath::net {
@@ -206,8 +205,7 @@ void expect_reference_yen(const topology& topo, node_id s, node_id t,
   const auto want = reference_yen(topo, s, t, k, want_spurs);
   plan_counters counters;
   const auto got = k_shortest_paths(topo, s, t, k, &counters);
-  const std::string where = topo.config().label() +
-                            (topo.is_csr() ? " csr " : " ") +
+  const std::string where = topo.config().label() + " " +
                             std::to_string(s) + "->" + std::to_string(t) +
                             " k=" + std::to_string(k);
   EXPECT_EQ(counters.yen_spur_searches, want_spurs) << where;
@@ -352,18 +350,16 @@ TEST(RoutePlan, YenMatchesReferenceInBothStorageModes) {
     configs.push_back(c);
   }
   const std::uint32_t n = 40;
-  for (const auto& cfg : configs)
-    for (const topology& topo :
-         {topology::make(n, cfg), topology::make_csr(n, cfg)}) {
-      stats::rng gen(cfg.graph_seed + 1);
-      for (int pair = 0; pair < 6; ++pair) {
-        const auto s = static_cast<node_id>(gen.next_below(n));
-        auto t = static_cast<node_id>(gen.next_below(n - 1));
-        if (t >= s) ++t;
-        for (std::uint32_t k : reference_ks)
-          expect_reference_yen(topo, s, t, k);
-      }
+  for (const auto& cfg : configs) {
+    const topology topo = topology::make(n, cfg);
+    stats::rng gen(cfg.graph_seed + 1);
+    for (int pair = 0; pair < 6; ++pair) {
+      const auto s = static_cast<node_id>(gen.next_below(n));
+      auto t = static_cast<node_id>(gen.next_below(n - 1));
+      if (t >= s) ++t;
+      for (std::uint32_t k : reference_ks) expect_reference_yen(topo, s, t, k);
     }
+  }
 }
 
 TEST(RoutePlan, YenIsDeterministic) {
@@ -399,79 +395,6 @@ TEST(RoutePlan, MaskedComponentsSplitTheRing) {
   EXPECT_EQ(comp[3], comp[4]);
   EXPECT_EQ(comp[6], comp[7]);
   EXPECT_NE(comp[1], comp[6]);
-}
-
-TEST(RoutePlan, CsrAdjacencyMatchesVectorMode) {
-  // The two storage modes are built from the same edge list; adjacency(u)
-  // must be element-identical — ids, weights, cumulative tables — and the
-  // derived accessors and sampling draws must agree exactly.
-  std::vector<topology_config> configs;
-  configs.push_back(topology_config{});  // complete
-  {
-    topology_config c;
-    c.kind = topology_kind::ring;
-    c.ring_k = 2;
-    configs.push_back(c);
-  }
-  {
-    topology_config c;
-    c.kind = topology_kind::random_regular;
-    c.degree = 4;
-    c.graph_seed = 9;
-    configs.push_back(c);
-  }
-  {
-    topology_config c;
-    c.kind = topology_kind::tiered;
-    c.tiers = 3;
-    configs.push_back(c);
-  }
-  {
-    topology_config c;
-    c.kind = topology_kind::trust_weighted;
-    c.trust_decay = 0.6;
-    configs.push_back(c);
-  }
-  const std::uint32_t n = 24;
-  for (const auto& cfg : configs) {
-    const topology vec = topology::make(n, cfg);
-    const topology csr = topology::make_csr(n, cfg);
-    ASSERT_FALSE(vec.is_csr());
-    ASSERT_TRUE(csr.is_csr());
-    EXPECT_EQ(vec.edge_count(), csr.edge_count());
-    EXPECT_EQ(vec.min_degree(), csr.min_degree());
-    EXPECT_EQ(vec.max_degree(), csr.max_degree());
-    EXPECT_TRUE(csr.connected());
-    for (node_id u = 0; u < n; ++u) {
-      const neighbor_view a = vec.adjacency(u);
-      const neighbor_view b = csr.adjacency(u);
-      ASSERT_EQ(a.size, b.size) << cfg.label() << " node " << u;
-      for (std::uint32_t i = 0; i < a.size; ++i) {
-        EXPECT_EQ(a.ids[i], b.ids[i]);
-        EXPECT_EQ(a.weights[i], b.weights[i]);
-        EXPECT_EQ(a.cum[i], b.cum[i]);
-      }
-      EXPECT_EQ(vec.degree(u), csr.degree(u));
-      EXPECT_EQ(vec.total_weight(u), csr.total_weight(u));
-      // Identical rng state must produce identical walk draws.
-      stats::rng ga(42 + u), gb(42 + u);
-      for (int step = 0; step < 16; ++step)
-        EXPECT_EQ(vec.sample_neighbor(u, ga), csr.sample_neighbor(u, gb));
-    }
-    // Route planning sees the same graph through either mode.
-    const shortest_path_tree ta = dijkstra(vec, 0);
-    const shortest_path_tree tb = dijkstra(csr, 0);
-    for (node_id v = 0; v < n; ++v) {
-      EXPECT_EQ(ta.dist[v], tb.dist[v]);
-      EXPECT_EQ(ta.parent[v], tb.parent[v]);
-    }
-  }
-}
-
-TEST(RoutePlan, VectorAccessorsContractFailOnCsr) {
-  const auto csr = topology::make_csr(10, topology_config{});
-  EXPECT_THROW((void)csr.neighbors(0), contract_violation);
-  EXPECT_THROW((void)csr.neighbor_weights(0), contract_violation);
 }
 
 TEST(RoutePlan, RoutingConfigValidityAndLabels) {
@@ -568,13 +491,13 @@ TEST(RoutePlan, KpathSupportAllExitsIsFull) {
 }
 
 TEST(RoutePlan, DijkstraOnCsrAtModerateScale) {
-  // A fast stand-in for the CI million-node smoke: 50k-node sparse CSR
+  // A fast stand-in for the CI million-node smoke: 50k-node sparse
   // graph, full Dijkstra, everything reachable.
   topology_config cfg;
   cfg.kind = topology_kind::random_regular;
   cfg.degree = 4;
   cfg.graph_seed = 17;
-  const auto topo = topology::make_csr(50000, cfg);
+  const auto topo = topology::make(50000, cfg);
   EXPECT_EQ(topo.edge_count(), 100000u);
   const auto tree = dijkstra(topo, 12345);
   std::uint64_t reachable = 0;

@@ -6,7 +6,7 @@
 #
 # `kpaths` (ctest smoke.route_planning) drives the kpaths routing axis and
 # its trace round trip; `scale` (smoke.route_planning_scale, also labelled
-# `slow`) builds and plans on 1e6- and 1e5-node CSR graphs.
+# `slow`) builds and plans on 1e6- and 1e5-node graphs.
 # Runs in the current directory and leaves its CSV, trace and log files
 # there, so a failing run can be inspected (or uploaded) as is.
 set -eo pipefail
@@ -42,20 +42,29 @@ case "$section" in
       echo "expected failure"; exit 1; fi
     if "$anonpath" simulate --n 20 --routing kpaths:0 \
       --messages 50; then echo "expected failure"; exit 1; fi
+    # --csr is accepted and selects nothing (every graph is CSR): a plan
+    # prints the same with and without it once its timings are stripped.
+    for flag in "" --csr; do
+      "$anonpath" plan --n 300 --topology regular:4 --routes 12 \
+        --routing kpaths:2 --components $flag |
+        sed 's/, [0-9.]* s$//' > "plan${flag}.txt"
+    done
+    grep -q "csr storage" plan.txt
+    diff plan.txt plan--csr.txt
     ;;
   scale)
-    # The scale target: build a 1e6-node CSR graph, prove it one
-    # component, run a full Dijkstra tree, and extract 100 routes —
-    # all within the smoke budget (a few seconds on release).
+    # The scale target: build a 1e6-node graph, prove it one component,
+    # run a full Dijkstra tree, and extract 100 routes — all within the
+    # smoke budget (a few seconds on release).
     time "$anonpath" plan --n 1000000 --topology regular:2 \
-      --csr --components --routes 100 | tee plan-scale.txt
+      --components --routes 100 | tee plan-scale.txt
     grep -q "N=1000000, 1000000 edges, csr storage" plan-scale.txt
     grep -q "components: 1," plan-scale.txt
     grep -q "dijkstra from 0: 1000000 reachable" plan-scale.txt
     # kpaths planning realism at 1e5 nodes, degree 4. Each new pair pays
     # one full reverse tree plus two bounded searches per spur node; the
     # regular:4 swap-mixing build dominates the run.
-    "$anonpath" plan --n 100000 --topology regular:4 --csr \
+    "$anonpath" plan --n 100000 --topology regular:4 \
       --routes 20 --routing kpaths:4 | tee plan-kpaths.txt
     grep -q "kpaths(4) routes" plan-kpaths.txt
     ;;

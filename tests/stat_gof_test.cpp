@@ -110,13 +110,13 @@ TEST(StatGoF, RouteSamplerSendersAreUniform) {
 }
 
 /// Chi-square p-value of observed next-hop counts (indexed like
-/// topo.neighbors(from)) against the configured transition distribution.
+/// topo.adjacency(from)) against the configured transition distribution.
 double neighbor_gof_p_value(const net::topology& topo, node_id from,
                             const std::vector<std::uint64_t>& counts) {
-  const auto& w = topo.neighbor_weights(from);
-  std::vector<double> expected(w.size());
-  for (std::size_t i = 0; i < w.size(); ++i)
-    expected[i] = w[i] / topo.total_weight(from);
+  const net::neighbor_view a = topo.adjacency(from);
+  std::vector<double> expected(a.size);
+  for (std::size_t i = 0; i < a.size; ++i)
+    expected[i] = a.weights[i] / topo.total_weight(from);
   return stats::chi_square_goodness_of_fit(counts, expected).p_value;
 }
 
@@ -136,13 +136,14 @@ TEST(StatGoF, NeighborChoiceFrequenciesMatchEdgeWeights) {
   for (const auto& p : presets) {
     stats::rng gen(++seed);
     for (const node_id from : {node_id{0}, node_id{7}, node_id{13}}) {
-      const auto& nbr = p.topo.neighbors(from);
-      std::vector<std::uint64_t> counts(nbr.size(), 0);
+      const net::neighbor_view nbr = p.topo.adjacency(from);
+      const node_id* end = nbr.ids + nbr.size;
+      std::vector<std::uint64_t> counts(nbr.size, 0);
       for (int i = 0; i < 20000; ++i) {
         const node_id v = p.topo.sample_neighbor(from, gen);
-        const auto it = std::lower_bound(nbr.begin(), nbr.end(), v);
-        ASSERT_TRUE(it != nbr.end() && *it == v) << p.name;
-        ++counts[static_cast<std::size_t>(it - nbr.begin())];
+        const node_id* it = std::lower_bound(nbr.ids, end, v);
+        ASSERT_TRUE(it != end && *it == v) << p.name;
+        ++counts[static_cast<std::size_t>(it - nbr.ids)];
       }
       EXPECT_GT(neighbor_gof_p_value(p.topo, from, counts), 0.01)
           << p.name << ": neighbor draw diverges from edge weights at node "
@@ -157,14 +158,15 @@ TEST(StatGoF, WalkRouteFirstHopsMatchEdgeWeights) {
   // bare neighbor draw.
   const net::topology topo = net::topology::trust_weighted(14, 0.5);
   const node_id sender = 5;
-  const auto& nbr = topo.neighbors(sender);
+  const net::neighbor_view nbr = topo.adjacency(sender);
+  const node_id* end = nbr.ids + nbr.size;
   stats::rng gen(131);
-  std::vector<std::uint64_t> counts(nbr.size(), 0);
+  std::vector<std::uint64_t> counts(nbr.size, 0);
   for (int i = 0; i < 20000; ++i) {
     const route r = sample_topology_route(topo, sender, 3, gen);
-    const auto it = std::lower_bound(nbr.begin(), nbr.end(), r.hops.front());
-    ASSERT_TRUE(it != nbr.end());
-    ++counts[static_cast<std::size_t>(it - nbr.begin())];
+    const node_id* it = std::lower_bound(nbr.ids, end, r.hops.front());
+    ASSERT_TRUE(it != end);
+    ++counts[static_cast<std::size_t>(it - nbr.ids)];
   }
   EXPECT_GT(neighbor_gof_p_value(topo, sender, counts), 0.01);
 }
@@ -175,14 +177,14 @@ TEST(StatGoF, RejectsMiscalibratedEdgeWeights) {
   const net::topology topo = net::topology::trust_weighted(16, 0.6);
   stats::rng gen(149);
   const node_id from = 0;
-  const auto& nbr = topo.neighbors(from);
-  std::vector<std::uint64_t> counts(nbr.size(), 0);
+  const net::neighbor_view nbr = topo.adjacency(from);
+  std::vector<std::uint64_t> counts(nbr.size, 0);
   for (int i = 0; i < 20000; ++i) {
     const node_id v = topo.sample_neighbor(from, gen);
-    const auto it = std::lower_bound(nbr.begin(), nbr.end(), v);
-    ++counts[static_cast<std::size_t>(it - nbr.begin())];
+    const node_id* it = std::lower_bound(nbr.ids, nbr.ids + nbr.size, v);
+    ++counts[static_cast<std::size_t>(it - nbr.ids)];
   }
-  const std::vector<double> uniform(nbr.size(), 1.0 / nbr.size());
+  const std::vector<double> uniform(nbr.size, 1.0 / nbr.size);
   EXPECT_LT(stats::chi_square_goodness_of_fit(counts, uniform).p_value, 1e-6);
 }
 

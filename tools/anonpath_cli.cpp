@@ -13,7 +13,7 @@
 //   anonpath campaign --n 24 --c 2 --topology complete,ring:2,tiered:3 \
 //                     --churn 0,0.5:0.5                 topology/churn axes
 //   anonpath simulate --n 60 --c 2 --topology regular:4 --routing kpaths:4
-//   anonpath plan     --n 1000000 --topology regular:2 --csr --routes 100
+//   anonpath plan     --n 1000000 --topology regular:2 --routes 100
 //   anonpath capture  --n 60 --c 2 --dist U:2,14 --out run.trace
 //   anonpath replay   --in run.trace                re-score a captured run
 //   anonpath attack   --users 100000 --rounds 10000 --round-size 12 \
@@ -171,7 +171,6 @@ struct options {
   bool receiver_law_set = false;
   std::uint32_t every = 0;            ///< attack: trajectory stride (0=auto)
   // Route-planning diagnostics surface (the 'plan' command).
-  bool plan_csr = false;              ///< plan: CSR storage mode
   bool plan_components = false;       ///< plan: run connected components
   std::uint32_t plan_source = 0;      ///< plan: Dijkstra source node
   std::uint32_t plan_routes = 100;    ///< plan: routes to extract/plan
@@ -493,9 +492,30 @@ void harvest_report(obs::metrics_registry& reg, const sim::sim_report& r) {
   reg.add_counter("attack.memo_misses", r.memo_misses);
 }
 
+// The analytic engines' system rules, refused as usage errors before any
+// engine precondition sees them; worded as sim::config_problem words its.
+
+/// The closed forms (degree, optimize, figures) hold for N >= 5 with C = 1.
+void require_closed_form_n(const options& opt) {
+  if (opt.n < 5)
+    usage("N >= 5 (the closed forms need it; smaller systems are the "
+          "brute-force analyzer's)");
+}
+
+/// A simple path over N nodes has at most N-1 intermediates. Precondition:
+/// opt.n >= 1.
+void require_simple_lengths(const options& opt,
+                            const path_length_distribution& d) {
+  if (d.max_length() > opt.n - 1)
+    usage("path lengths <= N-1 (a simple path has at most N-1 "
+          "intermediates)");
+}
+
 int cmd_degree(const options& opt) {
+  require_closed_form_n(opt);
   const system_params sys{opt.n, 1};
   const auto d = opt.dist.value_or(path_length_distribution::fixed(3));
+  require_simple_lengths(opt, d);
   const double h = anonymity_degree(sys, d);
   std::printf("strategy %s on N=%u, C=1: H* = %.6f bits (ceiling %.6f)\n",
               d.label().c_str(), opt.n, h, max_anonymity_degree(sys));
@@ -516,6 +536,8 @@ int cmd_degree(const options& opt) {
 }
 
 int cmd_estimate(const options& opt) {
+  if (opt.n < 2) usage("N >= 2 nodes");
+  if (opt.c >= opt.n) usage("C < N (an honest sender must exist)");
   const system_params sys{opt.n, opt.c};
   const auto d = opt.dist.value_or(path_length_distribution::uniform(1, 10));
   const std::vector<node_id> compromised = spread_compromised(opt.n, opt.c);
@@ -545,6 +567,8 @@ int cmd_estimate(const options& opt) {
                 static_cast<double>(est.samples) / secs, secs);
     return 0;
   }
+  // The clique engine scores simple paths; walks on a graph may be longer.
+  require_simple_lengths(opt, d);
   mc_config cfg;
   cfg.threads = opt.threads;
   cfg.shards = opt.shards;
@@ -573,8 +597,11 @@ int cmd_estimate(const options& opt) {
 }
 
 int cmd_optimize(const options& opt) {
+  require_closed_form_n(opt);
   const system_params sys{opt.n, 1};
   const auto cap = static_cast<path_length>(opt.n - 1);
+  if (!(opt.mean >= 0.0 && opt.mean <= cap))
+    usage("0 <= mean <= N-1 (a path has 0 to N-1 intermediates)");
   const auto r = optimize_for_mean(sys, opt.mean, cap);
   std::printf("optimal distribution for N=%u, E[L]=%.2f: H* = %.6f bits\n",
               opt.n, opt.mean, r.degree);
@@ -1085,12 +1112,12 @@ int cmd_attack(const options& opt) {
   return 0;
 }
 
-/// Graph-scale diagnostics: builds the topology (CSR or adjacency-vector
-/// storage), runs one full Dijkstra tree, extracts --routes shortest routes
-/// to seeded random targets, and — when --routing kpaths is given — plans
-/// the same number of k-shortest-path routes through net::route_planner.
-/// This is the CI smoke for million-node CSR construction and route
-/// planning; all timings go to stdout so regressions are visible in logs.
+/// Graph-scale diagnostics: builds the topology, runs one full Dijkstra
+/// tree, extracts --routes shortest routes to seeded random targets, and —
+/// when --routing kpaths is given — plans the same number of
+/// k-shortest-path routes through net::route_planner. This is the CI smoke
+/// for million-node graph construction and route planning; all timings go
+/// to stdout so regressions are visible in logs.
 int cmd_plan(const options& opt) {
   if (opt.n < 2) usage("plan needs --n >= 2");
   if (opt.plan_source >= opt.n) usage("--source out of range for --n");
@@ -1117,14 +1144,13 @@ int cmd_plan(const options& opt) {
   const auto t0 = std::chrono::steady_clock::now();
   const net::topology topo = [&] {
     obs::span span(tp, "net.build");
-    return opt.plan_csr ? net::topology::make_csr(opt.n, topo_cfg)
-                        : net::topology::make(opt.n, topo_cfg);
+    return net::topology::make(opt.n, topo_cfg);
   }();
   const auto t1 = std::chrono::steady_clock::now();
-  std::printf("built %s: N=%u, %llu edges, %s storage, %.3f s\n",
+  std::printf("built %s: N=%u, %llu edges, csr storage, %.3f s\n",
               topo_cfg.label().c_str(), opt.n,
               static_cast<unsigned long long>(topo.edge_count()),
-              opt.plan_csr ? "csr" : "adjacency", elapsed(t0, t1));
+              elapsed(t0, t1));
 
   if (opt.plan_components) {
     const auto tc0 = std::chrono::steady_clock::now();
@@ -1219,6 +1245,7 @@ int cmd_plan(const options& opt) {
 }
 
 int cmd_figures(const options& opt) {
+  require_closed_form_n(opt);
   const system_params sys{opt.n, 1};
   repro::print_figure(repro::fig3a(sys), std::cout);
   repro::print_figure(repro::fig3b(sys), std::cout);
@@ -1447,9 +1474,9 @@ const flag_row k_flags[] = {
     {"--no-dedup", shape::toggle, "", k_estimate,
      [](options& o, const arg&) { o.dedup = false; },
      "score every sample instead of each distinct observation once"},
-    // Route-planning diagnostics.
-    {"--csr", shape::toggle, "", k_plan,
-     [](options& o, const arg&) { o.plan_csr = true; }, "CSR graph storage"},
+    // Route-planning diagnostics. perfbench/run.py still passes --csr.
+    {"--csr", shape::toggle, "", k_plan, [](options&, const arg&) {},
+     "accepted; has no effect (every graph is CSR)"},
     {"--components", shape::toggle, "", k_plan,
      [](options& o, const arg&) { o.plan_components = true; },
      "count connected components"},
