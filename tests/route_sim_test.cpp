@@ -12,6 +12,7 @@
 #include <string>
 
 #include "src/net/route_plan.hpp"
+#include "src/net/topology_posterior.hpp"
 #include "src/sim/campaign.hpp"
 #include "src/sim/simulator.hpp"
 #include "src/sim/trace.hpp"
@@ -224,6 +225,60 @@ TEST(RouteSim, RetryWithKpathsStaysDeterministic) {
   EXPECT_EQ(a.empirical_entropy_bits, b.empirical_entropy_bits);
   EXPECT_GT(a.retransmissions, 0u);
   EXPECT_GT(a.delivered, 100u);
+}
+
+TEST(RouteSim, GraphRunsAreScoredByTheWalkEngine) {
+  // Every restricted-graph or planned run is scored by the walk-model
+  // engine: planned runs under a diffuse uniform(1, N-1) length prior (the
+  // support of every loopless route), walk runs under the configured
+  // lengths. Replaying the trace through that engine, built by hand, must
+  // reproduce the default scoring bit for bit.
+  net::topology_config regular;
+  regular.kind = net::topology_kind::random_regular;
+  regular.degree = 4;
+  net::topology_config ring;
+  ring.kind = net::topology_kind::ring;
+  ring.ring_k = 2;
+  struct cell {
+    std::uint32_t n;
+    net::topology_config topology;
+    net::routing_config routing;
+  };
+  const cell cells[] = {
+      {24, regular, {net::route_select::kpaths, 3}},
+      {12, net::topology_config{}, {net::route_select::kpaths, 2}},
+      {24, ring, net::routing_config{}},
+  };
+  for (const cell& x : cells) {
+    sim_config cfg;
+    cfg.sys = {x.n, 2};
+    cfg.compromised = spread_compromised(x.n, 2);
+    cfg.lengths = path_length_distribution::uniform(1, 6);
+    cfg.message_count = 120;
+    cfg.seed = 5;
+    cfg.collect_posteriors = true;
+    cfg.topology = x.topology;
+    cfg.routing = x.routing;
+    const sim_trace trace = capture_trace(cfg);
+    const net::topology_posterior_engine walk(
+        cfg.sys, trace.compromised,
+        cfg.routing.planned()
+            ? path_length_distribution::uniform(1, x.n - 1)
+            : cfg.lengths,
+        net::topology::make(x.n, cfg.topology));
+    const posterior_fn fn = [&walk](const observation& obs) {
+      return walk.sender_posterior(obs);
+    };
+    const sim_report by_default = replay_trace(trace);
+    const sim_report by_walk = replay_trace(trace, fn);
+    SCOPED_TRACE(x.n);
+    ASSERT_FALSE(by_default.posteriors.empty());
+    EXPECT_EQ(by_default.posteriors, by_walk.posteriors);
+    EXPECT_EQ(by_default.empirical_entropy_bits,
+              by_walk.empirical_entropy_bits);
+    EXPECT_EQ(by_default.identified_fraction, by_walk.identified_fraction);
+    EXPECT_EQ(by_default.top1_accuracy, by_walk.top1_accuracy);
+  }
 }
 
 TEST(RouteSim, PlannedRunRejectsInvalidCombinations) {
