@@ -36,11 +36,11 @@
 /// Every graph is stored in flat compressed-sparse-row arrays, which is
 /// what lets million-node graphs fit, and src/net/route_plan.hpp adds
 /// planning on top of the adjacency views: binary-heap Dijkstra, Yen
-/// k-shortest loopless paths, connected components (whole and masked),
-/// and net::route_planner — the source-routed kpaths model
-/// (exit uniform, path ~ 1/cost among the k best) whose scoring uses
-/// net::approx_topology_posterior, the restricted-path DP pruned to the
-/// k-path support and pinned to the exact engine when the support is full.
+/// k-shortest loopless paths, connected components, and
+/// net::route_planner — the source-routed kpaths model (exit uniform,
+/// path ~ 1/cost among the k best). Every restricted-graph or planned run
+/// is scored by net::topology_posterior_engine; planned runs take a
+/// uniform(1, N-1) length prior, the support of every loopless route.
 ///
 /// The longitudinal axis lives in src/workload and src/attack: a
 /// workload::population is a seeded, population-scale traffic model — M

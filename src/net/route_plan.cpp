@@ -297,19 +297,12 @@ std::vector<planned_path> k_shortest_paths(const topology& topo, node_id s,
 }
 
 std::vector<std::uint32_t> connected_components(const topology& topo) {
-  std::vector<bool> active(topo.node_count(), true);
-  return connected_components(topo, active);
-}
-
-std::vector<std::uint32_t> connected_components(
-    const topology& topo, const std::vector<bool>& active) {
   const std::uint32_t n = topo.node_count();
-  ANONPATH_EXPECTS(active.size() == n);
   std::vector<std::uint32_t> label(n, no_vertex);
   std::vector<node_id> stack;
   std::uint32_t next = 0;
   for (node_id root = 0; root < n; ++root) {
-    if (!active[root] || label[root] != no_vertex) continue;
+    if (label[root] != no_vertex) continue;
     const std::uint32_t comp = next++;
     label[root] = comp;
     stack.assign(1, root);
@@ -319,30 +312,13 @@ std::vector<std::uint32_t> connected_components(
       const neighbor_view a = topo.adjacency(u);
       for (std::uint32_t i = 0; i < a.size; ++i) {
         const node_id v = a.ids[i];
-        if (!active[v] || label[v] != no_vertex) continue;
+        if (label[v] != no_vertex) continue;
         label[v] = comp;
         stack.push_back(v);
       }
     }
   }
   return label;
-}
-
-std::vector<bool> kpath_support(const topology& topo, std::uint32_t k,
-                                const std::vector<node_id>& sources,
-                                const std::vector<node_id>& exits) {
-  ANONPATH_EXPECTS(k >= 1);
-  std::vector<bool> support(topo.node_count(), false);
-  for (node_id s : sources) {
-    ANONPATH_EXPECTS(s < topo.node_count());
-    for (node_id t : exits) {
-      ANONPATH_EXPECTS(t < topo.node_count());
-      if (t == s) continue;
-      for (const planned_path& p : k_shortest_paths(topo, s, t, k))
-        for (node_id x : p.nodes) support[x] = true;
-    }
-  }
-  return support;
 }
 
 std::string routing_config::label() const {

@@ -96,31 +96,9 @@ struct plan_counters {
     plan_counters* counters = nullptr);
 
 /// Connected-component labels, 0-based in first-discovery order (node 0's
-/// component is 0). A whole topology is one component by construction —
-/// the overload below is where this earns its keep.
+/// component is 0). A whole topology is one component by construction.
 [[nodiscard]] std::vector<std::uint32_t> connected_components(
     const topology& topo);
-
-/// Component labels of the subgraph induced by the `active` nodes
-/// (active.size() == node_count); inactive nodes get `no_vertex`. This is
-/// the outage/churn question: which survivors still reach each other when
-/// some nodes are down.
-[[nodiscard]] std::vector<std::uint32_t> connected_components(
-    const topology& topo, const std::vector<bool>& active);
-
-/// Union of nodes on the k shortest paths from every source in `sources`
-/// to every distinct exit in `exits` (endpoints included) — the node
-/// support planned routes over those pairs can ever touch, derived from
-/// config alone so inline scoring and trace replay agree. With exits =
-/// all nodes (the kpaths sim model's uniform exit law) this is every node,
-/// which is why sim scoring runs the DP unpruned; restricted exit or
-/// source sets (guard/exit policies) produce proper subsets worth pruning
-/// the approximate posterior to. O(|sources| * |exits|) Yen runs: meant
-/// for sim-scale graphs, not million-node planning. Preconditions:
-/// k >= 1, every id < node_count.
-[[nodiscard]] std::vector<bool> kpath_support(
-    const topology& topo, std::uint32_t k,
-    const std::vector<node_id>& sources, const std::vector<node_id>& exits);
 
 /// Route-selection model for source-routed traffic over a topology.
 ///   * walk   — the historical weighted random walk (default; byte-

@@ -22,6 +22,23 @@ const char* topology_kind_name(topology_kind kind) noexcept {
   return "?";
 }
 
+namespace {
+
+/// The trust family's edge weights decay^(d-1) at ring distances
+/// d = 1..n/2, by the repeated product that fixes their bits: calls
+/// visit(d, w) in distance order and returns the last, smallest weight.
+template <class Visit>
+double trust_weights(std::uint32_t n, double decay, Visit&& visit) {
+  double w = 1.0;
+  for (std::uint32_t d = 1; d <= n / 2; ++d) {
+    if (d > 1) w *= decay;
+    visit(d, w);
+  }
+  return w;
+}
+
+}  // namespace
+
 bool topology_config::valid_for(std::uint32_t node_count) const noexcept {
   if (node_count < 2) return false;
   switch (kind) {
@@ -35,7 +52,11 @@ bool topology_config::valid_for(std::uint32_t node_count) const noexcept {
     case topology_kind::tiered:
       return tiers >= 2 && tiers <= node_count;
     case topology_kind::trust_weighted:
-      return trust_decay > 0.0 && trust_decay <= 1.0;
+      // Every weight must stay positive: a decay whose repeated product
+      // underflows to 0 before the farthest ring distance has no graph.
+      return trust_decay > 0.0 && trust_decay <= 1.0 &&
+             trust_weights(node_count, trust_decay,
+                           [](std::uint32_t, double) {}) > 0.0;
   }
   return false;
 }
@@ -205,8 +226,7 @@ void build_trust_edges(std::uint32_t n, double decay,
   // decay^(d-1) by ring distance d, tabulated once so construction stays
   // O(N^2) instead of O(N^3).
   std::vector<double> power(n / 2 + 1, 1.0);
-  for (std::size_t d = 2; d < power.size(); ++d)
-    power[d] = power[d - 1] * decay;
+  trust_weights(n, decay, [&](std::uint32_t d, double w) { power[d] = w; });
   out.reserve(static_cast<std::size_t>(n) * (n - 1) / 2);
   for (node_id u = 0; u < n; ++u)
     for (node_id v = u + 1; v < n; ++v) {

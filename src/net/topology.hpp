@@ -45,8 +45,9 @@ struct topology_config {
   std::uint32_t tiers = 3;       ///< tiered: number of layers
   double trust_decay = 0.5;      ///< trust_weighted: per-hop weight decay in (0,1]
 
-  /// Parameter ranges that admit a connected, self-loop-free graph on
-  /// `node_count` nodes; one of the rules of sim::config_problem.
+  /// Parameter ranges that admit a connected, self-loop-free graph with
+  /// positive edge weights on `node_count` nodes; one of the rules of
+  /// sim::config_problem.
   [[nodiscard]] bool valid_for(std::uint32_t node_count) const noexcept;
 
   /// Compact label, e.g. "complete", "ring(2)", "regular(4@1)",
@@ -128,7 +129,9 @@ class topology {
 
   /// Complete adjacency with w(u,v) = decay^(ring_distance(u,v) - 1) — a
   /// smooth interpolation from the uniform clique (decay = 1) toward a
-  /// nearest-neighbour ring (decay -> 0). Preconditions: 0 < decay <= 1.
+  /// nearest-neighbour ring (decay -> 0). Preconditions: 0 < decay <= 1,
+  /// and the farthest weight decay^(node_count/2 - 1) does not underflow
+  /// to 0 (valid_for).
   [[nodiscard]] static topology trust_weighted(std::uint32_t node_count,
                                                double decay);
 

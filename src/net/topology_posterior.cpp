@@ -9,27 +9,20 @@ namespace anonpath::net {
 
 topology_posterior_engine::topology_posterior_engine(
     system_params sys, std::vector<node_id> compromised,
-    path_length_distribution lengths, topology topo,
-    std::vector<bool> interior_support)
+    path_length_distribution lengths, topology topo)
     : sys_(sys),
       compromised_(std::move(compromised)),
-      support_(std::move(interior_support)),
       lengths_(std::move(lengths)),
       topo_(std::move(topo)) {
   ANONPATH_EXPECTS(sys_.valid());
   ANONPATH_EXPECTS(topo_.node_count() == sys_.node_count);
   ANONPATH_EXPECTS(compromised_.size() == sys_.compromised_count);
-  ANONPATH_EXPECTS(support_.empty() || support_.size() == sys_.node_count);
   compromised_flag_.assign(sys_.node_count, false);
   for (node_id c : compromised_) {
     ANONPATH_EXPECTS(c < sys_.node_count);
     ANONPATH_EXPECTS(!compromised_flag_[c]);
     compromised_flag_[c] = true;
   }
-  honest_interior_.assign(sys_.node_count, false);
-  for (node_id x = 0; x < sys_.node_count; ++x)
-    honest_interior_[x] =
-        !compromised_flag_[x] && (support_.empty() || support_[x]);
 }
 
 void topology_posterior_engine::honest_step(const std::vector<double>& in,
@@ -40,16 +33,15 @@ void topology_posterior_engine::honest_step(const std::vector<double>& in,
     if (in[x] == 0.0) continue;
     const neighbor_view a = topo_.adjacency(x);
     if (forward) {
-      // out[y] += in[x] * T(x->y) for honest in-support y.
+      // out[y] += in[x] * T(x->y) for honest y.
       const double inv = in[x] / topo_.total_weight(x);
       for (std::uint32_t i = 0; i < a.size; ++i)
-        if (honest_interior_[a.ids[i]]) out[a.ids[i]] += inv * a.weights[i];
+        if (!compromised_flag_[a.ids[i]]) out[a.ids[i]] += inv * a.weights[i];
     } else {
       // Transpose: out[y] += T(y->x) * in[x]. Here x plays the step-target
-      // role, so only honest in-support x may contribute; compromised (or
-      // pruned) entries of `in` are start-only values and never feed a
-      // later step.
-      if (!honest_interior_[x]) continue;
+      // role, so only honest x may contribute; compromised entries of `in`
+      // are start-only values and never feed a later step.
+      if (compromised_flag_[x]) continue;
       for (std::uint32_t i = 0; i < a.size; ++i) {
         const node_id y = a.ids[i];
         out[y] += in[x] * (a.weights[i] / topo_.total_weight(y));

@@ -39,22 +39,9 @@ class topology_posterior_engine {
  public:
   /// Preconditions: sys.valid(); topo.node_count() == sys.node_count;
   /// `compromised` lists distinct ids < N, |compromised| == C.
-  ///
-  /// `interior_support` optionally prunes the honest-interior state space:
-  /// a node outside the mask never occupies a non-sender walk position in
-  /// the gap DPs — as an unobserved interior, a gap endpoint, or the open
-  /// tail — so hypotheses that need it there get zero weight. (Sender
-  /// positions are exempt, and transitions strictly inside observed
-  /// fragments are s-independent constants that cancel in normalization,
-  /// so the mask never touches them.) Empty (the default) or all-true
-  /// masks leave the arithmetic bit-identical to the unmasked engine;
-  /// proper subsets make the DP approximate but cheaper, which is what
-  /// approx_topology_posterior builds on. When non-empty, its size must
-  /// equal sys.node_count.
   topology_posterior_engine(system_params sys,
                             std::vector<node_id> compromised,
-                            path_length_distribution lengths, topology topo,
-                            std::vector<bool> interior_support = {});
+                            path_length_distribution lengths, topology topo);
 
   /// Posterior Pr(S = i | obs) over all N nodes. Precondition: obs is
   /// explainable under the walk model (always true for observations the
@@ -80,25 +67,15 @@ class topology_posterior_engine {
   }
   [[nodiscard]] const topology& graph() const noexcept { return topo_; }
 
-  /// The interior-support mask as given (empty = unpruned).
-  [[nodiscard]] const std::vector<bool>& interior_support() const noexcept {
-    return support_;
-  }
-
  private:
   /// One honest-interior DP step: out[y] = sum_x in[x] * T(x->y) over
-  /// honest in-support y (forward == false runs the transpose, for the
-  /// sender gap).
+  /// honest y (forward == false runs the transpose, for the sender gap).
   void honest_step(const std::vector<double>& in, std::vector<double>& out,
                    bool forward) const;
 
   system_params sys_;
   std::vector<node_id> compromised_;
   std::vector<bool> compromised_flag_;
-  /// honest_interior_[x]: x may occupy an unobserved interior position —
-  /// honest AND inside the support mask (all honest nodes when unmasked).
-  std::vector<bool> honest_interior_;
-  std::vector<bool> support_;
   path_length_distribution lengths_;
   topology topo_;
 };

@@ -14,7 +14,6 @@
 #include "src/attack/noise.hpp"
 #include "src/attack/online.hpp"
 #include "src/crypto/onion.hpp"
-#include "src/net/approx_posterior.hpp"
 #include "src/net/topology_posterior.hpp"
 #include "src/sim/network.hpp"
 #include "src/sim/receiver.hpp"
@@ -483,41 +482,28 @@ sim_report score_run(const sim_config& config, const adversary_model& model,
     const system_params effective_sys{
         config.sys.node_count,
         static_cast<std::uint32_t>(effective_ids.size())};
-    // Restricted graphs route walks, so their observations are scored with
-    // the restricted-path engine; the clique keeps the historical
-    // simple-path engine bit for bit. Planned (kpaths) runs supersede both:
-    // their routes are loopless graph paths, scored with the approximate
-    // posterior under a diffuse uniform(1, N-1) length prior (the support
-    // of every realizable planned route — see approx_topology_posterior for
-    // why the mask is full under the uniform exit law). Exactly one of the
-    // three is built.
-    const bool restricted =
-        config.topology.kind != net::topology_kind::complete;
+    // Restricted graphs and planned (kpaths) runs are scored with the
+    // walk-model engine; the clique keeps the historical simple-path engine
+    // bit for bit. Planned routes are loopless graph paths, scored under a
+    // diffuse uniform(1, N-1) length prior, the support of every realizable
+    // planned route.
     const bool planned = config.routing.planned();
     std::optional<posterior_engine> exact;
     std::optional<net::topology_posterior_engine> walk;
-    std::optional<net::approx_topology_posterior> approx;
-    if (planned) {
-      // Planned observations are never gapped (the timing correlator is
-      // rejected up front), so no screening engine is needed.
-      if (engine == nullptr)
-        approx.emplace(
-            effective_sys, effective_ids,
-            path_length_distribution::uniform(1, config.sys.node_count - 1),
-            graph != nullptr
-                ? *graph
-                : net::topology::make(config.sys.node_count, config.topology));
-    } else if (restricted) {
+    if (planned || config.topology.kind != net::topology_kind::complete) {
       // Only built when it will actually score (a caller-supplied engine
       // supersedes it, and rebuilding the graph is not free on the replay
-      // path). Restricted observations are never gapped, so no screening
-      // engine is needed either.
+      // path). These observations are never gapped (the timing correlator
+      // is refused up front), so no screening engine is needed either.
       if (engine == nullptr)
-        walk.emplace(effective_sys, effective_ids, config.lengths,
-                     graph != nullptr ? *graph
-                                      : net::topology::make(
-                                            config.sys.node_count,
-                                            config.topology));
+        walk.emplace(
+            effective_sys, effective_ids,
+            planned ? path_length_distribution::uniform(
+                          1, config.sys.node_count - 1)
+                    : config.lengths,
+            graph != nullptr ? *graph
+                             : net::topology::make(config.sys.node_count,
+                                                   config.topology));
     } else {
       // Needed even under a caller-supplied engine: gapped observations
       // are screened for explainability before any scoring.
@@ -538,7 +524,6 @@ sim_report score_run(const sim_config& config, const adversary_model& model,
                                    std::vector<double>& out) -> bool {
       const auto obs = model.assemble(id);
       if (exact && obs.gapped && !exact->explainable(obs)) return false;
-      if (approx && !approx->try_sender_posterior(obs, out)) return false;
       if (walk && !walk->try_sender_posterior(obs, out)) return false;
       if (engine != nullptr) out = (*engine)(obs);
       else if (exact) out = exact->sender_posterior(obs);

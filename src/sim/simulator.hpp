@@ -81,8 +81,8 @@ struct sim_config {
   /// planned routing — each message picks a uniform exit and one of its k
   /// best Dijkstra/Yen paths (cost-weighted), drawn from dedicated
   /// order-free rng streams so walk-mode draw sequences are untouched.
-  /// Planned runs are scored with the approximate posterior
-  /// (net::approx_topology_posterior) under a diffuse uniform(1, N-1)
+  /// Planned runs are scored with the walk-model engine
+  /// (net::topology_posterior_engine) under a diffuse uniform(1, N-1)
   /// length prior. Needs source_routed mode and a non-timing adversary
   /// (config_problem).
   net::routing_config routing{};
@@ -144,8 +144,8 @@ struct sim_report {
   /// the wire_* fields split undelivered transmissions by cause (failure
   /// injection, churned-down destination, crash-scheduled destination);
   /// memo_hits/memo_misses mirror the exact posterior engine's layout
-  /// memo when this run was scored by it (0 under the topology/approx
-  /// engines, which have no layout memo).
+  /// memo when this run was scored by it (0 under the topology engine,
+  /// which has no layout memo).
   std::uint64_t events_executed = 0;
   std::uint64_t wire_dropped = 0;
   std::uint64_t wire_stranded = 0;

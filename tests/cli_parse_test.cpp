@@ -254,6 +254,7 @@ TEST_F(CliParse, EveryRunnabilityRuleIsAUsageError) {
       {"--n 20 --adversary timing --routing kpaths",
        "kpaths routing excludes"},
       {"--n 10 --topology ring:5", "topology parameters fit N"},
+      {"--n 3000 --c 2 --topology trust:0.5", "topology parameters fit N"},
       {"--n 20 --topology ring:2 --adversary timing",
        "restricted topology excludes"},
       {"--n 20 --adversary partial:1.5", nullptr},
@@ -285,6 +286,18 @@ TEST_F(CliParse, EveryRunnabilityRuleIsAUsageError) {
             << "anonpath " << args << "\n" << r.stderr_text;
     }
   }
+  // plan builds the graph on its own and asks the same topology rule.
+  const run_result plan =
+      run_cli("plan --n 5000 --topology trust:0.5 --routes 5");
+  EXPECT_EQ(plan.exit_code, 2);
+  EXPECT_NE(plan.stderr_text.find("--topology parameters out of range"),
+            std::string::npos)
+      << plan.stderr_text;
+  // Subnormal weights are positive: 0.001^107 still builds and runs.
+  EXPECT_EQ(run_cli("simulate --n 216 --c 2 --topology trust:0.001 "
+                    "--messages 30")
+                .exit_code,
+            0);
 }
 
 TEST_F(CliParse, AnalyticCommandsRefuseWhatTheirEnginesCannotScore) {

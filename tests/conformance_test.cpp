@@ -157,7 +157,7 @@ TEST(Conformance, CyclicMatchesBruteForceOnCycleFreeDistributions) {
 }
 
 // The small-graph fixture set the topology machinery is pinned on: every
-// constructor family, uniform and non-uniform weights, N <= 7.
+// constructor family, uniform and non-uniform weights, N <= 8.
 std::vector<anonpath::net::topology> oracle_graphs() {
   using anonpath::net::topology;
   std::vector<topology> graphs;
@@ -167,6 +167,8 @@ std::vector<anonpath::net::topology> oracle_graphs() {
   graphs.push_back(topology::tiered(7, 3));
   graphs.push_back(topology::trust_weighted(7, 0.5));
   graphs.push_back(topology::random_regular(6, 3, 11));
+  graphs.push_back(topology::trust_weighted(6, 0.5));
+  graphs.push_back(topology::random_regular(8, 3, 11));
   return graphs;
 }
 

@@ -1,8 +1,8 @@
 // Conformance layer for src/net/route_plan: Dijkstra distances and Yen's
 // k-shortest-paths pinned against exhaustive simple-path enumeration on
 // N <= 8 fixtures, the goal-directed Yen pinned bit for bit to a plain
-// masked-Dijkstra reference Yen, connected components (full and masked),
-// Dijkstra on a 50k-node graph, and the route_planner's selection model.
+// masked-Dijkstra reference Yen, connected components, Dijkstra on a
+// 50k-node graph, and the route_planner's selection model.
 
 #include <gtest/gtest.h>
 
@@ -378,25 +378,6 @@ TEST(RoutePlan, ConnectedComponentsWholeGraphIsOne) {
   }
 }
 
-TEST(RoutePlan, MaskedComponentsSplitTheRing) {
-  // Cutting nodes 0 and 5 out of an 8-ring leaves two arcs: {1,2,3,4} and
-  // {6,7}. Labels are 0-based in first-discovery order; inactive nodes get
-  // the no_vertex sentinel.
-  const auto topo = topology::ring(8, 1);
-  std::vector<bool> active(8, true);
-  active[0] = false;
-  active[5] = false;
-  const auto comp = connected_components(topo, active);
-  ASSERT_EQ(comp.size(), 8u);
-  EXPECT_EQ(comp[0], no_vertex);
-  EXPECT_EQ(comp[5], no_vertex);
-  EXPECT_EQ(comp[1], comp[2]);
-  EXPECT_EQ(comp[2], comp[3]);
-  EXPECT_EQ(comp[3], comp[4]);
-  EXPECT_EQ(comp[6], comp[7]);
-  EXPECT_NE(comp[1], comp[6]);
-}
-
 TEST(RoutePlan, RoutingConfigValidityAndLabels) {
   routing_config walk;
   EXPECT_FALSE(walk.planned());
@@ -465,29 +446,6 @@ TEST(RoutePlan, PlannerExitLawCoversAllTargets) {
   EXPECT_FALSE(exit_seen[0]);
   for (node_id v = 1; v < 6; ++v)
     EXPECT_TRUE(exit_seen[v]) << "exit " << v << " never drawn";
-}
-
-TEST(RoutePlan, KpathSupportRestrictedSets) {
-  // Ring(8, 1), source 0, exit 2, k = 1: the one shortest path is 0-1-2,
-  // so the support is exactly {0, 1, 2}. Raising k to 2 admits the
-  // long-way-around path and the support becomes the whole cycle.
-  const auto topo = topology::ring(8, 1);
-  const auto tight = kpath_support(topo, 1, {0}, {2});
-  ASSERT_EQ(tight.size(), 8u);
-  for (node_id v = 0; v < 8; ++v)
-    EXPECT_EQ(tight[v], v <= 2) << "node " << v;
-  const auto wide = kpath_support(topo, 2, {0}, {2});
-  for (node_id v = 0; v < 8; ++v) EXPECT_TRUE(wide[v]);
-}
-
-TEST(RoutePlan, KpathSupportAllExitsIsFull) {
-  // The sim model's uniform exit law: with every node an exit, every node
-  // is on some planned path — the mask degenerates to full support.
-  const auto topo = topology::random_regular(10, 3, 2);
-  std::vector<node_id> all;
-  for (node_id v = 0; v < 10; ++v) all.push_back(v);
-  const auto support = kpath_support(topo, 1, {0}, all);
-  for (node_id v = 0; v < 10; ++v) EXPECT_TRUE(support[v]);
 }
 
 TEST(RoutePlan, DijkstraOnCsrAtModerateScale) {

@@ -169,6 +169,40 @@ TEST(TraceFuzz, SparseAttemptIdsAreRejected) {
   }
 }
 
+TEST(TraceFuzz, TrustDecayThatUnderflowsAtNIsRejected) {
+  // decay^(N/2 - 1) underflows to 0 for 1e-70 at N = 12: the graph would
+  // have zero-weight edges, so the topology line is out of range for N.
+  sim::sim_config cfg;
+  cfg.sys = {12, 2};
+  cfg.compromised = spread_compromised(12, 2);
+  cfg.lengths = path_length_distribution::uniform(1, 4);
+  cfg.message_count = 10;
+  cfg.topology.kind = net::topology_kind::trust_weighted;
+  cfg.topology.trust_decay = 0.5;
+  const auto topology_line = [](const sim::sim_config& c) {
+    std::ostringstream os;
+    sim::write_trace_config(c, os);
+    const std::string text = os.str();
+    const std::size_t at = text.find("\ntopology ");
+    return text.substr(at, text.find('\n', at + 1) - at);
+  };
+  std::ostringstream os;
+  sim::write_trace(sim::capture_trace(cfg), os);
+  std::string text = os.str();
+  const std::string valid = topology_line(cfg);
+  cfg.topology.trust_decay = 1e-70;
+  const std::size_t at = text.find(valid);
+  ASSERT_NE(at, std::string::npos);
+  text.replace(at, valid.size(), topology_line(cfg));
+  std::istringstream is(text);
+  try {
+    (void)sim::read_trace(is);
+    ADD_FAILURE() << "accepted a trust decay that underflows at N";
+  } catch (const parse_error& e) {
+    EXPECT_EQ(e.kind(), parse_error_kind::out_of_range) << e.what();
+  }
+}
+
 TEST(TraceFuzz, ParseErrorsCarryTheTaxonomy) {
   const auto kind_of = [](const std::string& text) {
     std::istringstream is(text);
