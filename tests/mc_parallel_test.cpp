@@ -8,6 +8,7 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
 
 #include "src/anonymity/analytic.hpp"
@@ -41,6 +42,33 @@ TEST(McParallel, BitIdenticalAcrossThreadCounts) {
     EXPECT_EQ(base.std_error, est.std_error) << threads << " threads";
     EXPECT_EQ(base.distinct_observations, est.distinct_observations)
         << threads << " threads";
+  }
+}
+
+TEST(McParallel, CliqueEstimatesKeepTheirBits) {
+  // Pins the clique estimator's output bit for bit, so a refactor of the
+  // pipeline (sampling, class merge, scoring, reduction) cannot move it.
+  struct pinned {
+    system_params sys;
+    std::vector<node_id> comp;
+    path_length_distribution lengths;
+    std::uint64_t samples, seed, shards;
+    std::uint64_t degree_bits, std_error_bits, distinct;
+  };
+  const pinned cases[] = {
+      {{60, 4}, {3, 17, 33, 49}, path_length_distribution::uniform(1, 10),
+       6000, 77, 16, 0x4014f166b68cbaf4ull, 0x3f92e580cf86ff6aull, 1988},
+      {{100, 1}, {7}, path_length_distribution::fixed(5), 20000, 5, 0,
+       0x401a0dea2b2edea7ull, 0x3f73815fc7d8f71dull, 1042},
+  };
+  for (const pinned& p : cases) {
+    mc_config cfg;
+    cfg.shards = p.shards;
+    const auto est = estimate_anonymity_degree(p.sys, p.comp, p.lengths,
+                                               p.samples, p.seed, cfg);
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(est.degree), p.degree_bits);
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(est.std_error), p.std_error_bits);
+    EXPECT_EQ(est.distinct_observations, p.distinct);
   }
 }
 
