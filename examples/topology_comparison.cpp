@@ -3,8 +3,9 @@
 // clique (every node forwards to every other node); this example holds
 // N, C, and the length strategy fixed and swaps only the graph:
 //
-//   1. score each topology's exact walk-model H* by Monte Carlo
-//      (net::estimate_topology_degree, pinned to the graph oracle by the
+//   1. score each topology's H* by Monte Carlo (estimate_anonymity_degree:
+//      the clique under the paper's simple-path model, every other graph
+//      under the walk model, both pinned to their oracles by the
 //      conformance suite);
 //   2. run the full discrete-event simulator on the same graphs and
 //      compare the adversary's empirical view;
@@ -16,8 +17,8 @@
 #include <cstdio>
 #include <vector>
 
+#include "src/anonymity/monte_carlo.hpp"
 #include "src/net/topology.hpp"
-#include "src/net/topology_mc.hpp"
 #include "src/sim/simulator.hpp"
 
 using namespace anonpath;
@@ -55,14 +56,16 @@ int main() {
   const auto d = path_length_distribution::uniform(1, 6);
   const auto compromised = spread_compromised(n, c);
 
-  std::printf("Walk-model H* by topology (N=%u, C=%u, %s; ceiling %.3f bits)\n",
+  std::printf("Monte-Carlo H* by topology (N=%u, C=%u, %s; ceiling %.3f bits)\n",
               n, c, d.label().c_str(),
               std::log2(static_cast<double>(n)));
   std::printf("  %-14s %10s %10s %8s\n", "topology", "H* (bits)", "+/-95%",
               "degree");
+  mc_config mc;
+  mc.threads = 0;
   for (const auto& cfg : lineup()) {
-    const auto est = net::estimate_topology_degree({n, c}, compromised, d,
-                                                   cfg, 40000, 7, 0);
+    const auto est =
+        estimate_anonymity_degree({n, c}, compromised, d, 40000, 7, mc, cfg);
     const auto topo = net::topology::make(n, cfg);
     std::printf("  %-14s %10.4f %10.4f %5u-%u\n", cfg.label().c_str(),
                 est.degree, est.ci95(), topo.min_degree(),

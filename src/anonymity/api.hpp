@@ -30,9 +30,11 @@
 /// net::graph_oracle enumerates it exhaustively on small graphs,
 /// net::topology_posterior_engine performs exact restricted-path sender
 /// inference at simulation scale (transfer-matrix DP over honest-interior
-/// walk segments), and net::estimate_topology_degree is the walk-model
-/// Monte-Carlo H* estimator. The conformance suite pins oracle and engine
-/// to each other, and the clique instance to cyclic_brute_force_analyzer.
+/// walk segments). estimate_anonymity_degree takes a topology_config: one
+/// Monte-Carlo pipeline scores the clique with posterior_engine and any
+/// other graph with that engine. The conformance suite pins oracle and
+/// engine to each other, and the clique instance to
+/// cyclic_brute_force_analyzer.
 /// Every graph is stored in flat compressed-sparse-row arrays, which is
 /// what lets million-node graphs fit, and src/net/route_plan.hpp adds
 /// planning on top of the adjacency views: binary-heap Dijkstra, Yen
@@ -164,9 +166,8 @@
 /// real telemetry — the `_ms`/`_us`/`_ns` naming convention
 /// (obs::is_timing_metric) marks which histograms determinism comparisons
 /// reduce to totals (obs::stable_text). Snapshots and spans serialize as
-/// versioned "anonpath-metrics v1" JSONL through the obs::sink family
-/// (jsonl_file_sink with checked writes, stderr_summary_sink, null_sink);
-/// the reader rejects corruption with the same parse_error taxonomy as
+/// versioned "anonpath-metrics v1" JSONL through obs::write_metrics_file
+/// (checked writes; a failure is a parse_error{io}); the reader rejects corruption with the same parse_error taxonomy as
 /// trace/checkpoint. Instrumented layers hold non-owning registry/tracer
 /// pointers defaulting to nullptr — no `--metrics`/`--progress`, no
 /// allocation, byte-identical outputs. obs::progress_meter is the
@@ -190,5 +191,4 @@
 #include "src/net/churn.hpp"
 #include "src/net/graph_oracle.hpp"
 #include "src/net/topology.hpp"
-#include "src/net/topology_mc.hpp"
 #include "src/net/topology_posterior.hpp"

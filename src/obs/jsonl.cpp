@@ -4,7 +4,6 @@
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
-#include <iostream>
 #include <ostream>
 #include <sstream>
 
@@ -360,27 +359,6 @@ std::string stable_text(const metrics_snapshot& snapshot,
   for (const span_record& s : spans)
     out << "span " << s.id << ' ' << s.parent << ' ' << s.name << '\n';
   return out.str();
-}
-
-void stderr_summary_sink::publish(const metrics_snapshot& snapshot,
-                                  const std::vector<span_record>& spans) {
-  std::cerr << "# metrics summary\n";
-  for (const auto& [name, value] : snapshot.counters)
-    std::cerr << "#   counter " << name << " = " << value << '\n';
-  for (const auto& [name, value] : snapshot.gauges)
-    std::cerr << "#   gauge " << name << " = " << format_double(value)
-              << '\n';
-  for (const auto& [name, hist] : snapshot.histograms) {
-    std::cerr << "#   hist " << name << " total=" << hist.total();
-    if (hist.total() > 0)
-      std::cerr << " p50>=" << hist.quantile_floor(0.5)
-                << " p99>=" << hist.quantile_floor(0.99);
-    std::cerr << '\n';
-  }
-  for (const span_record& s : spans)
-    std::cerr << "#   span " << s.id << " parent=" << s.parent << ' '
-              << s.name << ' ' << format_double(s.duration_ms) << "ms\n";
-  std::cerr.flush();
 }
 
 }  // namespace anonpath::obs

@@ -57,44 +57,4 @@ void write_metrics_file(const std::string& path,
 [[nodiscard]] std::string stable_text(const metrics_snapshot& snapshot,
                                       const std::vector<span_record>& spans);
 
-/// Where a finished run publishes its telemetry. Implementations must
-/// treat the snapshot as read-only; file-backed sinks follow the checked
-/// write rules (throw parse_error{io} on failure), diagnostic sinks
-/// (stderr) are best-effort and never throw.
-class sink {
- public:
-  virtual ~sink() = default;
-  virtual void publish(const metrics_snapshot& snapshot,
-                       const std::vector<span_record>& spans) = 0;
-};
-
-/// Discards everything — the explicit "telemetry off" terminal.
-class null_sink final : public sink {
- public:
-  void publish(const metrics_snapshot&,
-               const std::vector<span_record>&) override {}
-};
-
-/// Writes metrics JSONL v1 to a file on every publish (checked writes).
-class jsonl_file_sink final : public sink {
- public:
-  explicit jsonl_file_sink(std::string path) : path_(std::move(path)) {}
-  void publish(const metrics_snapshot& snapshot,
-               const std::vector<span_record>& spans) override {
-    write_metrics_file(path_, snapshot, spans);
-  }
-
- private:
-  std::string path_;
-};
-
-/// Renders a human-oriented summary table (counters, gauges, histogram
-/// totals with p50/p99 bucket floors, root spans) to stderr. Best-effort:
-/// stderr failures are ignored, matching the progress heartbeat.
-class stderr_summary_sink final : public sink {
- public:
-  void publish(const metrics_snapshot& snapshot,
-               const std::vector<span_record>& spans) override;
-};
-
 }  // namespace anonpath::obs

@@ -12,6 +12,16 @@
 
 namespace anonpath::stats {
 
+/// The most threads any pool or parallel loop runs.
+inline constexpr unsigned max_threads = 256;
+
+/// The one reading of a thread request: 0 means hardware concurrency (at
+/// least 1), and every request is capped at max_threads, so a runaway value
+/// (e.g. a wrapped negative) never asks the OS for thousands of threads.
+/// thread_pool, parallel_for and every caller that sizes per-worker state
+/// use it.
+[[nodiscard]] unsigned resolve_thread_count(unsigned requested) noexcept;
+
 /// A small reusable fixed-size worker pool for data-parallel loops.
 ///
 /// The pool owns `worker_count() - 1` background threads; the thread that
@@ -27,7 +37,7 @@ namespace anonpath::stats {
 /// across thread counts.
 class thread_pool {
  public:
-  /// Spawns `thread_count - 1` workers; 0 means std::thread::hardware_concurrency().
+  /// Spawns `resolve_thread_count(thread_count) - 1` workers.
   explicit thread_pool(unsigned thread_count = 0);
   ~thread_pool();
 
@@ -68,8 +78,8 @@ class thread_pool {
 };
 
 /// One-shot convenience: runs body(index, worker) over [0, count) on up to
-/// `threads` threads (0 = hardware concurrency) without keeping a pool
-/// around. `threads <= 1` runs inline.
+/// `resolve_thread_count(threads)` threads without keeping a pool around.
+/// One thread runs inline.
 void parallel_for(unsigned threads, std::uint64_t count,
                   const std::function<void(std::uint64_t, unsigned)>& body);
 

@@ -771,7 +771,7 @@ TEST_F(CliParse, FlagsACommandIgnoresAreRefused) {
   std::set<std::string> all;
   for (const auto& [command, flags] : table)
     all.insert(flags.begin(), flags.end());
-  ASSERT_EQ(all.size(), 47u);
+  ASSERT_EQ(all.size(), 46u);
   for (const auto& [command, flags] : table)
     for (const std::string& flag : all) {
       if (flags.count(flag) != 0) continue;
@@ -848,7 +848,7 @@ TEST_F(CliParse, EveryCommandAcceptsEveryFlagItReads) {
       {"degree", "--n 50 --dist F:3 --breakdown"},
       {"estimate",
        "--n 50 --c 2 --dist U:1,5 --topology complete --seed 3 --threads 2 "
-       "--samples 2000 --shards 4 --no-dedup"},
+       "--samples 2000 --shards 4"},
       {"optimize", "--n 50 --mean 4"},
       {"simulate",
        sim + " --metrics '" + dir + "sim.jsonl' --progress"},

@@ -223,6 +223,33 @@ TEST(Conformance, TopologyEngineMatchesGraphOracleEventByEvent) {
   }
 }
 
+TEST(Conformance, MonteCarloMatchesGraphOracleOnRestrictedGraphs) {
+  // The estimator's graph route source and walk-engine scorer against the
+  // exhaustive graph oracle's H*, within the sampling error.
+  const auto d = path_length_distribution::uniform(1, 4);
+  std::vector<std::pair<std::uint32_t, net::topology_config>> graphs(3);
+  graphs[0].first = 8;
+  graphs[0].second.kind = net::topology_kind::ring;
+  graphs[0].second.ring_k = 2;
+  graphs[1].first = 8;
+  graphs[1].second.kind = net::topology_kind::random_regular;
+  graphs[1].second.degree = 3;
+  graphs[2].first = 6;
+  graphs[2].second.kind = net::topology_kind::trust_weighted;
+  graphs[2].second.trust_decay = 0.5;
+  for (const auto& [n, cfg] : graphs) {
+    const std::vector<node_id> comp{1, n - 2};
+    const system_params sys{n, 2};
+    const double exact =
+        net::graph_oracle(sys, comp, d, net::topology::make(n, cfg))
+            .anonymity_degree();
+    const auto est =
+        estimate_anonymity_degree(sys, comp, d, 30000, 17, {}, cfg);
+    EXPECT_NEAR(est.degree, exact, 5.0 * est.std_error) << cfg.label();
+    EXPECT_GT(est.std_error, 0.0) << cfg.label();
+  }
+}
+
 TEST(Conformance, TopologyEngineMatchesOracleWithHonestReceiver) {
   // receiver_observed == false (partial coverage with an honest receiver)
   // marginalizes over the open walk tail; pin that path against the oracle

@@ -1,8 +1,8 @@
-// Determinism and correctness of the batched Monte-Carlo estimation engine:
-// thread-count invariance (the mc_config contract), dedup-vs-direct
-// agreement, the allocation-free route sampler's distribution, and a fuzz
-// pass pitting the memoized posterior fast path against the uncached
-// reference.
+// Determinism and correctness of the Monte-Carlo estimation pipeline:
+// pinned clique bits, thread-count invariance (the mc_config contract) for
+// the clique and for graphs, agreement with per-sample scoring, the
+// allocation-free route sampler's distribution, and a fuzz pass pitting
+// the memoized posterior fast path against the uncached reference.
 
 #include "src/anonymity/monte_carlo.hpp"
 
@@ -10,11 +10,15 @@
 
 #include <bit>
 #include <cmath>
+#include <string>
 
 #include "src/anonymity/analytic.hpp"
+#include "src/anonymity/entropy.hpp"
 #include "src/anonymity/observation.hpp"
 #include "src/anonymity/posterior.hpp"
+#include "src/net/topology_posterior.hpp"
 #include "src/stats/rng.hpp"
+#include "src/stats/summary.hpp"
 
 namespace anonpath {
 namespace {
@@ -26,7 +30,7 @@ std::vector<bool> flags(std::uint32_t n, const std::vector<node_id>& set) {
 }
 
 TEST(McParallel, BitIdenticalAcrossThreadCounts) {
-  // The headline guarantee: for a fixed (seed, samples, shards, dedup),
+  // The headline guarantee: for a fixed (seed, samples, shards, topology),
   // every thread count produces the same bits.
   const system_params sys{60, 4};
   const std::vector<node_id> comp{3, 17, 33, 49};
@@ -72,50 +76,97 @@ TEST(McParallel, CliqueEstimatesKeepTheirBits) {
   }
 }
 
-TEST(McParallel, BitIdenticalAcrossThreadCountsWithoutDedup) {
-  const system_params sys{40, 2};
-  const std::vector<node_id> comp{5, 21};
-  const auto d = path_length_distribution::uniform(1, 8);
-  mc_config cfg;
-  cfg.shards = 8;
-  cfg.dedup = false;
-  cfg.threads = 1;
-  const auto base = estimate_anonymity_degree(sys, comp, d, 3000, 9, cfg);
-  for (unsigned threads : {2u, 8u}) {
-    cfg.threads = threads;
-    const auto est = estimate_anonymity_degree(sys, comp, d, 3000, 9, cfg);
-    EXPECT_EQ(base.degree, est.degree) << threads << " threads";
-    EXPECT_EQ(base.std_error, est.std_error) << threads << " threads";
+net::topology_config graph(const std::string& spec) {
+  net::topology_config cfg;
+  const std::size_t colon = spec.find(':');
+  const std::string kind = spec.substr(0, colon);
+  const std::string arg = spec.substr(colon + 1);
+  if (kind == "ring") {
+    cfg.kind = net::topology_kind::ring;
+    cfg.ring_k = static_cast<std::uint32_t>(std::stoul(arg));
+  } else if (kind == "regular") {
+    cfg.kind = net::topology_kind::random_regular;
+    cfg.degree = static_cast<std::uint32_t>(std::stoul(arg));
+  } else {
+    cfg.kind = net::topology_kind::trust_weighted;
+    cfg.trust_decay = std::stod(arg);
+  }
+  return cfg;
+}
+
+TEST(McParallel, GraphEstimatesAreBitIdenticalAcrossThreadCounts) {
+  const system_params sys{24, 2};
+  const std::vector<node_id> comp{5, 17};
+  const auto d = path_length_distribution::uniform(1, 6);
+  for (const char* spec : {"ring:2", "regular:3", "trust:0.6"}) {
+    const net::topology_config topo = graph(spec);
+    mc_config cfg;
+    cfg.threads = 1;
+    const auto base =
+        estimate_anonymity_degree(sys, comp, d, 4000, 31, cfg, topo);
+    EXPECT_EQ(base.shards, 16u) << spec;
+    EXPECT_GT(base.distinct_observations, 1u) << spec;
+    EXPECT_LT(base.distinct_observations, base.samples) << spec;
+    for (unsigned threads : {2u, 8u}) {
+      cfg.threads = threads;
+      const auto est =
+          estimate_anonymity_degree(sys, comp, d, 4000, 31, cfg, topo);
+      EXPECT_EQ(base.degree, est.degree) << spec << " " << threads;
+      EXPECT_EQ(base.std_error, est.std_error) << spec << " " << threads;
+      EXPECT_EQ(base.distinct_observations, est.distinct_observations)
+          << spec << " " << threads;
+    }
   }
 }
 
 TEST(McParallel, DedupMatchesDirectScoring) {
-  // Dedup reorders the accumulation (weighted, class order) but scores the
-  // same sampled routes; the estimates may differ only in rounding.
-  const system_params sys{50, 3};
-  const std::vector<node_id> comp{2, 19, 41};
-  const auto d = path_length_distribution::uniform(1, 10);
-  mc_config with, without;
-  with.dedup = true;
-  without.dedup = false;
-  const auto a = estimate_anonymity_degree(sys, comp, d, 8000, 13, with);
-  const auto b = estimate_anonymity_degree(sys, comp, d, 8000, 13, without);
-  EXPECT_NEAR(a.degree, b.degree, 1e-9);
-  EXPECT_NEAR(a.std_error, b.std_error, 1e-9);
-  EXPECT_LT(a.distinct_observations, b.distinct_observations);
-}
+  // Scoring each distinct observation once and weighting it by its count
+  // must give what scoring every sample does, up to rounding. The
+  // reference draws from the same single stream (shards = 1), in the same
+  // per-sample order, and scores each sample on its own.
+  const system_params sys{30, 3};
+  const std::vector<node_id> comp{2, 13, 25};
+  const auto d = path_length_distribution::uniform(1, 8);
+  const std::uint64_t samples = 5000, seed = 13;
+  mc_config cfg;
+  cfg.shards = 1;
+  const auto check = [&](const mc_estimate& est,
+                         const stats::running_summary& ref) {
+    EXPECT_EQ(ref.count(), samples);
+    EXPECT_NEAR(est.degree, ref.mean(), 1e-9);
+    EXPECT_NEAR(est.std_error, ref.std_error(), 1e-9);
+    EXPECT_LT(est.distinct_observations, samples);
+  };
+  const auto f = flags(sys.node_count, comp);
 
-TEST(McParallel, BatchSizeAffectsOnlyRounding) {
-  const system_params sys{50, 3};
-  const std::vector<node_id> comp{2, 19, 41};
-  const auto d = path_length_distribution::uniform(1, 10);
-  mc_config whole, windowed;
-  windowed.batch_size = 64;  // many dedup-index windows per shard
-  const auto a = estimate_anonymity_degree(sys, comp, d, 8000, 13, whole);
-  const auto b = estimate_anonymity_degree(sys, comp, d, 8000, 13, windowed);
-  EXPECT_NEAR(a.degree, b.degree, 1e-9);
-  // Split classes are re-folded globally: same distinct count either way.
-  EXPECT_EQ(a.distinct_observations, b.distinct_observations);
+  {  // The clique: simple paths, posterior_engine.
+    const posterior_engine engine(sys, comp, d);
+    route_sampler sampler(sys.node_count, d, path_model::simple);
+    stats::rng gen = stats::rng::stream(seed, 0);
+    stats::running_summary ref;
+    for (std::uint64_t i = 0; i < samples; ++i)
+      ref.add(entropy_bits(
+          engine.sender_posterior(observe(sampler.next(gen), f))));
+    SCOPED_TRACE("clique");
+    check(estimate_anonymity_degree(sys, comp, d, samples, seed, cfg), ref);
+  }
+  {  // A graph: uniform sender, length, weighted walk; the walk engine.
+    const net::topology_config topo = graph("ring:2");
+    const net::topology_posterior_engine engine(
+        sys, comp, d, net::topology::make(sys.node_count, topo));
+    stats::rng gen = stats::rng::stream(seed, 0);
+    stats::running_summary ref;
+    route r;
+    for (std::uint64_t i = 0; i < samples; ++i) {
+      r.sender = static_cast<node_id>(gen.next_below(sys.node_count));
+      const path_length l = d.sample(gen);
+      sample_topology_route_into(engine.graph(), r.sender, l, gen, r);
+      ref.add(entropy_bits(engine.sender_posterior(observe(r, f))));
+    }
+    SCOPED_TRACE("ring:2");
+    check(estimate_anonymity_degree(sys, comp, d, samples, seed, cfg, topo),
+          ref);
+  }
 }
 
 TEST(McParallel, ShardCountChangesStreamButNotDistribution) {

@@ -291,27 +291,19 @@ TEST(MetricsJsonl, StableTextDropsTimingBucketsKeepsTotals) {
   EXPECT_EQ(text.find("10.5"), std::string::npos) << text;
 }
 
-TEST(MetricsJsonl, SinksPublishWithoutSurprises) {
+TEST(MetricsJsonl, MetricsFileRoundTripsAndRefusesUnwritablePaths) {
   const metrics_snapshot snap = sample_snapshot();
   const std::vector<span_record> spans = sample_spans();
 
-  null_sink quiet;
-  quiet.publish(snap, spans);  // must be a no-op
-
-  stderr_summary_sink table;
-  table.publish(snap, spans);  // best-effort; must not throw
-
-  const std::string path = ::testing::TempDir() + "obs_sink_roundtrip.jsonl";
-  jsonl_file_sink file(path);
-  file.publish(snap, spans);
+  const std::string path = ::testing::TempDir() + "obs_file_roundtrip.jsonl";
+  write_metrics_file(path, snap, spans);
   const metrics_document doc = read_metrics_file(path);
   EXPECT_EQ(stable_text(doc.metrics, doc.spans), stable_text(snap, spans));
   std::remove(path.c_str());
 
-  jsonl_file_sink unwritable("/nonexistent-dir/metrics.jsonl");
   try {
-    unwritable.publish(snap, spans);
-    FAIL() << "publish to an unopenable path must throw";
+    write_metrics_file("/nonexistent-dir/metrics.jsonl", snap, spans);
+    FAIL() << "writing to an unopenable path must throw";
   } catch (const parse_error& e) {
     EXPECT_EQ(e.kind(), parse_error_kind::io);
   }

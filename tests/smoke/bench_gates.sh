@@ -4,6 +4,7 @@
 #
 #   tests/smoke/bench_gates.sh path/to/bench_perf_engines json_write_failure
 #   tests/smoke/bench_gates.sh path/to/repo perf_gate
+#   tests/smoke/bench_gates.sh path/to/bench_perf_engines baseline_rows path/to/repo
 #
 # `json_write_failure` checks that a benchmark JSON which cannot be written
 # exits nonzero (an exit, not a crash). `perf_gate` checks that
@@ -11,9 +12,13 @@
 # bench/BENCH_baseline.json: the baseline compared with itself passes, while
 # the same file with BM_PosteriorSingleObservation/16 made 10x slower, and
 # the file with one row dropped, both fail with the gate's exit status 1.
+# `baseline_rows` checks that every row of bench/BENCH_baseline.json names
+# a benchmark that bench_perf_engines registers (--benchmark_list_tests),
+# so a deleted benchmark whose baseline row remains fails here, offline,
+# and not first in CI's perf gate.
 # Runs in the current directory and leaves its JSON files there.
 set -eo pipefail
-usage="usage: bench_gates.sh PATH json_write_failure|perf_gate"
+usage="usage: bench_gates.sh PATH json_write_failure|perf_gate|baseline_rows [REPO]"
 path=${1:?$usage}
 section=${2:?$usage}
 
@@ -56,6 +61,20 @@ EOF
       fi
     done
     echo "gate self-test OK: 10x slowdown and dropped row rejected"
+    ;;
+  baseline_rows)
+    repo=${3:?$usage}
+    "$path" --benchmark_list_tests > registered.txt
+    python3 - "$repo/bench/BENCH_baseline.json" registered.txt <<'EOF'
+import json, sys
+rows = json.load(open(sys.argv[1]))["benchmarks"]
+registered = set(open(sys.argv[2]).read().split())
+names = [b.get("run_name", b.get("name")) for b in rows]
+stale = [n for n in names if n not in registered]
+if stale:
+    sys.exit("baseline rows with no registered benchmark: " + ", ".join(stale))
+print(f"{len(names)} baseline rows, all registered")
+EOF
     ;;
   *)
     echo "$usage" >&2

@@ -2,10 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <numeric>
 #include <set>
 #include <stdexcept>
+#include <thread>
 #include <vector>
 
 #include <mutex>
@@ -80,6 +82,21 @@ TEST(ThreadPool, FreeFunctionSerialAndParallelAgree) {
     out_parallel[i] = static_cast<double>(i) * 0.5;
   });
   EXPECT_EQ(out_serial, out_parallel);
+}
+
+TEST(ThreadPool, ResolveThreadCountMapsZeroAndCapsRequests) {
+  // Checked on the resolver alone: constructing a pool at these counts
+  // would start real threads.
+  const unsigned hw = std::thread::hardware_concurrency();
+  EXPECT_EQ(resolve_thread_count(0),
+            std::clamp(hw == 0 ? 1u : hw, 1u, max_threads));
+  EXPECT_EQ(resolve_thread_count(1), 1u);
+  EXPECT_EQ(resolve_thread_count(8), 8u);
+  EXPECT_EQ(resolve_thread_count(max_threads), max_threads);
+  EXPECT_EQ(max_threads, 256u);
+  EXPECT_EQ(resolve_thread_count(max_threads + 1), max_threads);
+  EXPECT_EQ(resolve_thread_count(100000), 256u);
+  EXPECT_EQ(resolve_thread_count(static_cast<unsigned>(-1)), 256u);
 }
 
 }  // namespace

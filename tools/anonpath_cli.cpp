@@ -85,7 +85,6 @@
 #include "src/net/churn.hpp"
 #include "src/net/route_plan.hpp"
 #include "src/net/topology.hpp"
-#include "src/net/topology_mc.hpp"
 #include "src/obs/jsonl.hpp"
 #include "src/obs/metrics.hpp"
 #include "src/obs/progress.hpp"
@@ -130,7 +129,6 @@ struct options {
   std::uint64_t samples = 100000;
   unsigned threads = 0;
   std::uint64_t shards = 0;
-  bool dedup = true;
   // Axes: every value seen (comma lists and repeats on campaign/merge, at
   // most one value elsewhere; --n, --c and --dist also keep it in the
   // scalars above).
@@ -541,47 +539,33 @@ int cmd_estimate(const options& opt) {
   const system_params sys{opt.n, opt.c};
   const auto d = opt.dist.value_or(path_length_distribution::uniform(1, 10));
   const std::vector<node_id> compromised = spread_compromised(opt.n, opt.c);
-  if (!opt.topology_list.empty() &&
-      opt.topology_list.front().kind != net::topology_kind::complete) {
-    // Restricted graph: walk-model Monte Carlo on the topology engine.
-    const net::topology_config& topo = opt.topology_list.front();
-    if (!topo.valid_for(opt.n))
-      usage("--topology parameters out of range for --n");
-    const auto t0 = std::chrono::steady_clock::now();
-    const auto est = net::estimate_topology_degree(
-        sys, compromised, d, topo, opt.samples, opt.seed, opt.threads,
-        opt.shards);
-    const auto t1 = std::chrono::steady_clock::now();
-    const double secs =
-        std::chrono::duration_cast<std::chrono::duration<double>>(t1 - t0)
-            .count();
-    std::printf("MC walk-model estimate for %s on N=%u, C=%u, topology %s:\n",
-                d.label().c_str(), opt.n, opt.c, topo.label().c_str());
-    std::printf("  H* = %.6f +/- %.6f bits (95%% CI)\n", est.degree,
-                est.ci95());
-    std::printf("  samples:       %llu in %llu shards (seed %llu)\n",
-                static_cast<unsigned long long>(est.samples),
-                static_cast<unsigned long long>(est.shards),
-                static_cast<unsigned long long>(opt.seed));
-    std::printf("  throughput:    %.0f samples/s (%.3f s)\n",
-                static_cast<double>(est.samples) / secs, secs);
-    return 0;
+  const net::topology_config topo =
+      opt.topology_list.empty() ? net::topology_config{}
+                                : opt.topology_list.front();
+  const bool clique = topo.kind == net::topology_kind::complete;
+  if (clique) {
+    // The clique engine scores simple paths; walks on a graph may be longer.
+    require_simple_lengths(opt, d);
+  } else if (!topo.valid_for(opt.n)) {
+    usage("--topology parameters out of range for --n");
   }
-  // The clique engine scores simple paths; walks on a graph may be longer.
-  require_simple_lengths(opt, d);
   mc_config cfg;
   cfg.threads = opt.threads;
   cfg.shards = opt.shards;
-  cfg.dedup = opt.dedup;
   const auto t0 = std::chrono::steady_clock::now();
   const auto est = estimate_anonymity_degree(sys, compromised, d, opt.samples,
-                                             opt.seed, cfg);
+                                             opt.seed, cfg, topo);
   const auto t1 = std::chrono::steady_clock::now();
   const double secs =
       std::chrono::duration_cast<std::chrono::duration<double>>(t1 - t0)
           .count();
-  std::printf("MC estimate for %s on N=%u, C=%u:\n", d.label().c_str(), opt.n,
-              opt.c);
+  if (clique) {
+    std::printf("MC estimate for %s on N=%u, C=%u:\n", d.label().c_str(),
+                opt.n, opt.c);
+  } else {
+    std::printf("MC walk-model estimate for %s on N=%u, C=%u, topology %s:\n",
+                d.label().c_str(), opt.n, opt.c, topo.label().c_str());
+  }
   std::printf("  H* = %.6f +/- %.6f bits (95%% CI)\n", est.degree, est.ci95());
   std::printf("  samples:       %llu in %llu shards (seed %llu)\n",
               static_cast<unsigned long long>(est.samples),
@@ -1471,9 +1455,6 @@ const flag_row k_flags[] = {
     {"--shards", shape::single, "<k>", k_estimate,
      [](options& o, const arg& a) { o.shards = a.u64(); },
      "Monte-Carlo work shards (default 0, auto)"},
-    {"--no-dedup", shape::toggle, "", k_estimate,
-     [](options& o, const arg&) { o.dedup = false; },
-     "score every sample instead of each distinct observation once"},
     // Route-planning diagnostics. perfbench/run.py still passes --csr.
     {"--csr", shape::toggle, "", k_plan, [](options&, const arg&) {},
      "accepted; has no effect (every graph is CSR)"},
