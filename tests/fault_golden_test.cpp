@@ -4,14 +4,17 @@
 // explicit crash schedule on every cell and a kpaths routing slice, pinned
 // byte for byte. Every mechanism that schedules or cancels events (drops,
 // strands at crashed hops, retry timers, re-armed timeouts) feeds the CSV,
-// so any reordering of the event loop trips it. The exact event counts of
-// two fault-heavy runs are pinned too.
+// so any reordering of the event loop trips it. The exact event counts and
+// hop histograms of two fault-heavy runs are pinned too.
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <vector>
 
 #include "src/sim/campaign.hpp"
 
@@ -107,6 +110,26 @@ TEST(FaultGolden, EventsExecutedArePinned) {
   // loses or fuses changes them.
   EXPECT_EQ(run_simulation(onion_faults_config()).events_executed, 3368u);
   EXPECT_EQ(run_simulation(crowds_faults_config()).events_executed, 2947u);
+}
+
+TEST(FaultGolden, HopHistogramsArePinned) {
+  // The hop counts the fabric records per message, as a report folds them:
+  // delivered originals, their realized-hop histogram (a recovered original
+  // counts its earliest delivering attempt's hops) and the mean's exact
+  // bits.
+  const sim_report onion = run_simulation(onion_faults_config());
+  EXPECT_EQ(onion.delivered, 287u);
+  EXPECT_EQ(onion.hop_histogram,
+            (std::vector<std::uint64_t>{0, 74, 74, 57, 51, 31}));
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(onion.realized_hops.mean()),
+            0x4004f6302ad0b985u);
+
+  const sim_report crowds = run_simulation(crowds_faults_config());
+  EXPECT_EQ(crowds.delivered, 191u);
+  EXPECT_EQ(crowds.hop_histogram,
+            (std::vector<std::uint64_t>{0, 74, 39, 30, 22, 11, 4, 7, 3, 0, 1}));
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(crowds.realized_hops.mean()),
+            0x40049b79f7f54710u);
 }
 
 }  // namespace
