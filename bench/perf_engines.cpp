@@ -60,7 +60,7 @@ void BM_PosteriorSingleObservation(benchmark::State& state) {
   std::vector<bool> flags(100, false);
   for (auto x : comp) flags[x] = true;
   stats::rng gen(5);
-  const route r = sample_route(100, d, path_model::simple, gen);
+  const route r = sample_route(100, d, gen);
   const auto obs = observe(r, flags);
   for (auto _ : state) {
     benchmark::DoNotOptimize(engine.sender_posterior(obs));
@@ -297,7 +297,7 @@ void BM_SimpleRouteSampling(benchmark::State& state) {
   stats::rng gen(3);
   const auto d = path_length_distribution::uniform(1, 50);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(sample_route(100, d, path_model::simple, gen));
+    benchmark::DoNotOptimize(sample_route(100, d, gen));
   }
 }
 BENCHMARK(BM_SimpleRouteSampling);

@@ -143,8 +143,7 @@ mc_estimate estimate_anonymity_degree(const system_params& sys,
     return run_pipeline(
         flags_of(), samples, seed, config.shards, pool,
         [&] {
-          return [sampler = route_sampler(sys.node_count, lengths,
-                                          path_model::simple)](
+          return [sampler = route_sampler(sys.node_count, lengths)](
                      stats::rng& gen) mutable -> const route& {
             return sampler.next(gen);
           };

@@ -8,7 +8,7 @@
 #include "src/anonymity/path_sampler.hpp"
 #include "src/anonymity/posterior.hpp"
 #include "src/stats/contract.hpp"
-#include "src/stats/kahan.hpp"
+#include "src/stats/logspace.hpp"
 #include "src/stats/rng.hpp"
 #include "src/stats/summary.hpp"
 
@@ -20,24 +20,22 @@ std::vector<double> combine_posteriors(
   const std::size_t n = posteriors.front().size();
   ANONPATH_EXPECTS(n > 0);
   // Work in log space: long products of small probabilities underflow.
-  std::vector<double> logw(n, 0.0);
+  std::vector<double> log_post(n, 0.0);
+  std::vector<double> candidate(n);
   for (const auto& p : posteriors) {
     ANONPATH_EXPECTS(p.size() == n);
+    bool has_support = false;
     for (std::size_t i = 0; i < n; ++i) {
       ANONPATH_EXPECTS(p[i] >= 0.0);
-      logw[i] += p[i] > 0.0 ? std::log(p[i])
-                            : -std::numeric_limits<double>::infinity();
+      candidate[i] =
+          p[i] > 0.0 ? log_post[i] + std::log(p[i]) : stats::log_zero();
+      has_support = has_support || candidate[i] > stats::log_zero();
     }
+    if (has_support) log_post.swap(candidate);
   }
-  const double hi = *std::max_element(logw.begin(), logw.end());
-  ANONPATH_EXPECTS(std::isfinite(hi));
-  stats::kahan_sum z;
-  std::vector<double> out(n, 0.0);
-  for (std::size_t i = 0; i < n; ++i) {
-    out[i] = std::exp(logw[i] - hi);
-    z.add(out[i]);
-  }
-  for (double& x : out) x /= z.value();
+  const double norm = stats::log_sum_exp(log_post);
+  std::vector<double> out(n);
+  for (std::size_t i = 0; i < n; ++i) out[i] = std::exp(log_post[i] - norm);
   return out;
 }
 

@@ -17,9 +17,20 @@ namespace anonpath {
 /// path yields the *same* observation and no extra information.
 
 /// Fuses independent per-message posteriors over the same unknown sender:
-/// Pr(S=s | e_1..e_k) ∝ Π_i Pr(S=s | e_i) under a uniform prior.
-/// Preconditions: all posteriors non-empty, same size, entries >= 0, and at
-/// least one candidate with positive mass in every factor's product.
+/// Pr(S=s | e_1..e_k) ∝ Π_i Pr(S=s | e_i) under a uniform prior, summed in
+/// log space and normalised with log_sum_exp. The simulator fuses a
+/// message's retransmissions with it, and simulate_degradation a sender's
+/// messages.
+///
+/// Skip rule: a factor that would leave no candidate with positive mass
+/// (zero wherever the running product is positive) is skipped, so
+/// contradictory evidence — possible only for a mis-linked timing chain —
+/// carries no weight instead of leaving nothing to normalise. The fused
+/// result therefore always has some positive mass, and {{1, 0}, {0, 1}}
+/// fuses to {1, 0}.
+///
+/// Preconditions: at least one posterior; all non-empty, the same size,
+/// with entries >= 0.
 [[nodiscard]] std::vector<double> combine_posteriors(
     std::span<const std::vector<double>> posteriors);
 

@@ -40,32 +40,11 @@ void simple_route_sampler::sample(node_id sender, path_length length,
   for (std::uint32_t i = length; i-- > 0;) std::swap(pool_[i], pool_[swaps_[i]]);
 }
 
-route sample_complicated_route(std::uint32_t node_count, node_id sender,
-                               path_length length, stats::rng& gen) {
-  ANONPATH_EXPECTS(node_count >= 2);
-  ANONPATH_EXPECTS(sender < node_count);
-  route r;
-  r.sender = sender;
-  r.hops.reserve(length);
-  node_id prev = sender;
-  for (path_length i = 0; i < length; ++i) {
-    // Uniform over V \ {prev}: draw from N-1 values and skip past prev.
-    auto draw = static_cast<node_id>(gen.next_below(node_count - 1));
-    if (draw >= prev) ++draw;
-    r.hops.push_back(draw);
-    prev = draw;
-  }
-  return r;
-}
-
 route sample_route(std::uint32_t node_count,
-                   const path_length_distribution& lengths, path_model model,
-                   stats::rng& gen) {
+                   const path_length_distribution& lengths, stats::rng& gen) {
   const auto sender = static_cast<node_id>(gen.next_below(node_count));
   const path_length l = lengths.sample(gen);
-  return model == path_model::simple
-             ? sample_simple_route(node_count, sender, l, gen)
-             : sample_complicated_route(node_count, sender, l, gen);
+  return sample_simple_route(node_count, sender, l, gen);
 }
 
 void sample_topology_route_into(const net::topology& topo, node_id sender,
@@ -94,49 +73,27 @@ route sample_planned_route(net::route_planner& planner, node_id sender,
   return planner.sample_route(sender, gen);
 }
 
-void sample_planned_route_into(net::route_planner& planner, node_id sender,
-                               stats::rng& gen, route& out) {
-  out = planner.sample_route(sender, gen);
-}
-
 route_sampler::route_sampler(std::uint32_t node_count,
-                             path_length_distribution lengths,
-                             path_model model)
-    : node_count_(node_count),
-      lengths_(std::move(lengths)),
-      model_(model) {
+                             path_length_distribution lengths)
+    : node_count_(node_count), lengths_(std::move(lengths)) {
   ANONPATH_EXPECTS(node_count_ >= 2);
-  if (model_ == path_model::simple) {
-    ANONPATH_EXPECTS(lengths_.max_length() <= node_count_ - 1);
-    pool_.resize(node_count_);
-    for (node_id v = 0; v < node_count_; ++v) pool_[v] = v;
-  }
+  ANONPATH_EXPECTS(lengths_.max_length() <= node_count_ - 1);
+  pool_.resize(node_count_);
+  for (node_id v = 0; v < node_count_; ++v) pool_[v] = v;
   r_.hops.reserve(lengths_.max_length());
 }
 
 const route& route_sampler::next(stats::rng& gen) {
   const path_length l = lengths_.sample(gen);
-  if (model_ == path_model::simple) {
-    // Partial Fisher-Yates: pool_[0 .. l] becomes a uniform ordered
-    // (l+1)-sample of V; slot 0 is the sender, slots 1..l the hops.
-    for (path_length i = 0; i <= l; ++i) {
-      const auto j =
-          i + static_cast<std::uint32_t>(gen.next_below(node_count_ - i));
-      std::swap(pool_[i], pool_[j]);
-    }
-    r_.sender = pool_[0];
-    r_.hops.assign(pool_.begin() + 1, pool_.begin() + 1 + l);
-  } else {
-    r_.sender = static_cast<node_id>(gen.next_below(node_count_));
-    r_.hops.clear();
-    node_id prev = r_.sender;
-    for (path_length i = 0; i < l; ++i) {
-      auto draw = static_cast<node_id>(gen.next_below(node_count_ - 1));
-      if (draw >= prev) ++draw;
-      r_.hops.push_back(draw);
-      prev = draw;
-    }
+  // Partial Fisher-Yates: pool_[0 .. l] becomes a uniform ordered
+  // (l+1)-sample of V; slot 0 is the sender, slots 1..l the hops.
+  for (path_length i = 0; i <= l; ++i) {
+    const auto j =
+        i + static_cast<std::uint32_t>(gen.next_below(node_count_ - i));
+    std::swap(pool_[i], pool_[j]);
   }
+  r_.sender = pool_[0];
+  r_.hops.assign(pool_.begin() + 1, pool_.begin() + 1 + l);
   return r_;
 }
 

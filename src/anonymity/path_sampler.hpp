@@ -8,14 +8,13 @@
 
 namespace anonpath {
 
-/// Path models of paper Sec. 3.2: simple paths (no node reused; what the
-/// analytic machinery assumes) and "complicated" paths (cycles allowed,
-/// Crowds-style hop-by-hop forwarding where only immediate self-loops are
-/// excluded).
-enum class path_model {
-  simple,       ///< intermediates are distinct and differ from the sender
-  complicated,  ///< each hop uniform over all nodes except the current one
-};
+/// Route samplers for the path models of paper Sec. 3.2. On the clique
+/// every sampler here but the walk draws simple paths: intermediates are
+/// distinct and differ from the sender, which is what the analytic
+/// machinery assumes. The paper's "complicated" paths (cycles allowed, only
+/// immediate self-loops excluded) are the weighted walk on the complete
+/// topology, sample_topology_route; the planned sampler draws a route
+/// planner's loopless paths.
 
 /// Draws a uniformly random simple route of the given length from `sender`:
 /// an ordered sample of `length` distinct intermediates from V \ {sender}.
@@ -46,23 +45,19 @@ class simple_route_sampler {
   std::vector<std::uint32_t> swaps_;   ///< swap partner of each position
 };
 
-/// Draws a complicated (cycle-allowing) route: x_1 != sender, and each
-/// subsequent hop uniform over V \ {previous}. Precondition: node_count >= 2.
-[[nodiscard]] route sample_complicated_route(std::uint32_t node_count,
-                                             node_id sender, path_length length,
-                                             stats::rng& gen);
-
 /// Draws a full (sender, length, route) triple from the generative model:
-/// sender uniform over V, length from `lengths`, route per `model`.
+/// sender uniform over V, length from `lengths`, a simple route
+/// (sample_simple_route). Precondition: lengths.max_length() <=
+/// node_count - 1.
 [[nodiscard]] route sample_route(std::uint32_t node_count,
                                  const path_length_distribution& lengths,
-                                 path_model model, stats::rng& gen);
+                                 stats::rng& gen);
 
 /// Draws a topology-respecting route of the given length from `sender`:
 /// each hop is a weighted draw among the current node's neighbors (the
 /// walk model — net::topology documents why the clique instance coincides
-/// with `complicated` paths). Every consecutive pair of the result is a
-/// graph edge. Precondition: sender < topo.node_count().
+/// with the paper's complicated paths). Every consecutive pair of the
+/// result is a graph edge. Precondition: sender < topo.node_count().
 [[nodiscard]] route sample_topology_route(const net::topology& topo,
                                           node_id sender, path_length length,
                                           stats::rng& gen);
@@ -76,34 +71,30 @@ void sample_topology_route_into(const net::topology& topo, node_id sender,
 /// Draws a planned route from `sender` under the kpaths model: the planner
 /// picks a uniform exit and one of its k best paths (see
 /// net::route_planner::sample_route — this wrapper is the sampler-layer
-/// entry point the simulator calls, parallel to sample_topology_route).
-/// Unlike the walk samplers the length is data-driven, not a parameter:
-/// planned paths are loopless, so lengths land in [1, N-1].
+/// entry point, parallel to sample_topology_route). Unlike the walk
+/// samplers the length is data-driven, not a parameter: planned paths are
+/// loopless, so lengths land in [1, N-1].
 [[nodiscard]] route sample_planned_route(net::route_planner& planner,
                                          node_id sender, stats::rng& gen);
 
-/// In-place variant, mirroring sample_topology_route_into.
-void sample_planned_route_into(net::route_planner& planner, node_id sender,
-                               stats::rng& gen, route& out);
-
 /// Allocation-free bulk sampler for the hot Monte-Carlo loop: draws the same
-/// (sender, length, route) triples as sample_route but reuses internal
-/// buffers, so steady-state sampling performs zero heap allocations.
+/// distribution of (sender, length, route) triples as sample_route but
+/// reuses internal buffers, so steady-state sampling performs zero heap
+/// allocations.
 ///
-/// For the simple model it exploits that a uniform (sender, ordered
-/// l-sample of V \ {sender}) pair is exactly a uniform (l+1)-prefix of a
-/// random permutation of V: one partial Fisher-Yates pass over a persistent
-/// permutation buffer yields sender and hops together. (Fisher-Yates is
-/// uniform from any starting permutation, so the buffer is never re-sorted.)
+/// It exploits that a uniform (sender, ordered l-sample of V \ {sender})
+/// pair is exactly a uniform (l+1)-prefix of a random permutation of V: one
+/// partial Fisher-Yates pass over a persistent permutation buffer yields
+/// sender and hops together. (Fisher-Yates is uniform from any starting
+/// permutation, so the buffer is never re-sorted.)
 ///
 /// The draw sequence differs from sample_route's, so the two produce
 /// different — equally distributed — streams for the same generator state.
 class route_sampler {
  public:
-  /// Preconditions: node_count >= 2; for the simple model the length support
-  /// must fit simple paths (lengths.max_length() <= node_count - 1).
-  route_sampler(std::uint32_t node_count, path_length_distribution lengths,
-                path_model model);
+  /// Preconditions: node_count >= 2, and the length support fits simple
+  /// paths (lengths.max_length() <= node_count - 1).
+  route_sampler(std::uint32_t node_count, path_length_distribution lengths);
 
   /// Draws the next route into the internal buffer and returns a reference
   /// to it; valid until the next call.
@@ -112,8 +103,7 @@ class route_sampler {
  private:
   std::uint32_t node_count_;
   path_length_distribution lengths_;
-  path_model model_;
-  std::vector<node_id> pool_;  // persistent permutation of V (simple model)
+  std::vector<node_id> pool_;  // persistent permutation of V
   route r_;
 };
 

@@ -18,7 +18,7 @@ namespace anonpath::sim {
 /// Sec. 4 worst-case observability model is one point in this space:
 ///   * full_coalition — every configured compromised node reports, the
 ///     receiver is compromised, and the adversary holds the correlation
-///     handle (paper Sec. 4; the historical adversary_monitor).
+///     handle (paper Sec. 4).
 ///   * partial_coverage — each relay is independently corrupted with
 ///     probability `coverage_fraction` and the receiver may be honest
 ///     (Ando–Lysyanskaya–Upfal's fractional-corruption setting); reports
@@ -110,12 +110,6 @@ class adversary_model {
 
   [[nodiscard]] virtual adversary_kind kind() const noexcept = 0;
 
-  /// Historical name for observed_messages() (the full coalition completes
-  /// a message exactly on delivery).
-  [[nodiscard]] std::vector<std::uint64_t> delivered_messages() const {
-    return observed_messages();
-  }
-
   /// The flag vector (indexed by node id) of corrupted relays.
   [[nodiscard]] const std::vector<bool>& compromised() const noexcept {
     return compromised_;
@@ -172,9 +166,6 @@ class full_coalition_model : public adversary_model {
   }
   std::vector<per_message> log_;  ///< indexed by message id
 };
-
-/// Historical name: the pre-refactor monitor *was* the full coalition.
-using adversary_monitor = full_coalition_model;
 
 /// Fractional corruption (Ando–Lysyanskaya–Upfal): the compromised set is
 /// whatever effective_compromised() drew; corrupted relays report exactly

@@ -330,20 +330,10 @@ campaign_result run_campaign(const campaign_grid& grid,
         if (config.metrics != nullptr) {
           obs::metrics_registry& m = *config.metrics;
           m.add_counter(worker, "campaign.runs_completed", 1);
-          if (errors[run].empty()) {
-            const sim_report& r = reports[run];
-            m.add_counter(worker, "sim.events_executed", r.events_executed);
-            m.add_counter(worker, "sim.messages_submitted", r.submitted);
-            m.add_counter(worker, "sim.messages_delivered", r.delivered);
-            m.add_counter(worker, "sim.messages_dropped", r.wire_dropped);
-            m.add_counter(worker, "sim.messages_stranded",
-                          r.wire_stranded + r.wire_crashed);
-            m.add_counter(worker, "sim.retransmissions", r.retransmissions);
-            m.add_counter(worker, "attack.memo_hits", r.memo_hits);
-            m.add_counter(worker, "attack.memo_misses", r.memo_misses);
-          } else {
+          if (errors[run].empty())
+            record_report(m, worker, reports[run]);
+          else
             m.add_counter(worker, "campaign.runs_errored", 1);
-          }
           m.observe(worker, "campaign.run_us",
                     static_cast<std::uint64_t>(run_us));
         }

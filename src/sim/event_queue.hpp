@@ -18,10 +18,9 @@ enum class event_kind : std::uint8_t {
   forward,      ///< a relay's processing delay ends; slot = message
   arrival,      ///< a workload message is submitted; slot = arrival index
   retry_timer,  ///< a sender's retransmission timeout; slot = original id
-  mix_flush,    ///< a mix's batch deadline; slot = the mix's node id
 };
 
-inline constexpr std::size_t event_kind_count = 5;
+inline constexpr std::size_t event_kind_count = 4;
 
 /// Receives the events of the kinds it is bound to.
 class event_handler {
@@ -39,7 +38,7 @@ class event_handler {
 /// the run's peak in-flight count, and firing is a table dispatch to the
 /// kind's handler. Whatever state an event needs lives with its handler,
 /// indexed by the slot (the network's message slab, a sender's retry
-/// state, a mix's batch).
+/// state).
 ///
 /// Arrival cursor: a workload known up front need not sit in the heap.
 /// reserve() hands out a block of sequence numbers at the current position

@@ -21,7 +21,6 @@ network::network(std::uint32_t node_count, latency_params params,
                    topology->node_count() == node_count);
   queue_.bind(event_kind::deliver, *this);
   queue_.bind(event_kind::forward, *this);
-  queue_.bind(event_kind::mix_flush, *this);
 }
 
 void network::register_node(node_id id, message_sink& sink) {
@@ -113,11 +112,6 @@ void network::forward_in(sim_time delay, node_id from, node_id to,
   queue_.schedule_in(delay, event_kind::forward, slot);
 }
 
-void network::arm_timer(sim_time delay, node_id node) {
-  ANONPATH_EXPECTS(node < node_count_ && sinks_[node] != nullptr);
-  queue_.schedule_in(delay, event_kind::mix_flush, node);
-}
-
 void network::on_event(event_kind kind, std::uint32_t slot) {
   switch (kind) {
     case event_kind::deliver: {
@@ -129,16 +123,13 @@ void network::on_event(event_kind kind, std::uint32_t slot) {
         trace.delivered_at = queue_.now();
         receiver_sink_->on_message(from, slot);
       } else {
-        trace.visited.push_back(to);
+        ++trace.hops;
         sinks_[to]->on_message(from, slot);
       }
       return;
     }
     case event_kind::forward:
       transmit(slab_[slot].from, slab_[slot].to, slot);
-      return;
-    case event_kind::mix_flush:
-      sinks_[slot]->on_timer();
       return;
     case event_kind::arrival:
     case event_kind::retry_timer:

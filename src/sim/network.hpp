@@ -27,18 +27,16 @@ class message_sink {
   /// on with network::transmit()/forward_in() or hands it back with
   /// network::release().
   virtual void on_message(node_id from, message_slot slot) = 0;
-
-  /// A timer the sink armed with network::arm_timer() fired.
-  virtual void on_timer() {}
 };
 
 /// Ground-truth record of one message's journey, kept by the network fabric
-/// (the "physics" of the simulation — never visible to the adversary).
-/// A default record (never originated, nothing visited) stands for a
+/// (the "physics" of the simulation — never visible to the adversary). It
+/// is the run's one per-message record: the simulator folds its outcomes
+/// from these. A default record (never originated, no hops) stands for a
 /// message id the fabric has not seen.
 struct message_trace {
   node_id origin = 0;
-  std::vector<node_id> visited;   ///< nodes traversed after the origin
+  std::uint32_t hops = 0;   ///< relays reached after the origin
   sim_time sent_at = 0.0;
   sim_time delivered_at = 0.0;
   bool delivered = false;
@@ -57,19 +55,18 @@ struct message_trace {
 /// schedule (explicit outages plus seeded mix-failure episodes) takes
 /// specific nodes down on a deterministic timetable; a transmission whose
 /// destination is down at send time strands there, and the receiver R
-/// never fails. Also the keeper of ground-truth traces for validation.
+/// never fails. Also the keeper of the run's per-message traces.
 ///
-/// Event model. The fabric owns the run's event_queue and serves three of
-/// its event kinds: `deliver` (a transmission reaches its destination),
-/// `forward` (a relay's processing delay ends and it transmits) and
-/// `mix_flush` (a sink's timer, see arm_timer). Messages in flight live in
-/// a slab of wire_message records recycled through a free list; events
-/// and sinks refer to them by message_slot, so a hop moves a 4-byte
-/// handle rather than the envelope, relays peel the envelope in place, and
-/// a run needs only as many records as it ever has messages in flight at
-/// once. Traces are indexed by message id — dense ids (the
-/// simulator's originals 1..M, retries after) keep them compact; memory is
-/// linear in the largest id seen.
+/// Event model. The fabric owns the run's event_queue and serves two of
+/// its event kinds: `deliver` (a transmission reaches its destination) and
+/// `forward` (a relay's processing delay ends and it transmits). Messages
+/// in flight live in a slab of wire_message records recycled through a
+/// free list; events and sinks refer to them by message_slot, so a hop
+/// moves a 4-byte handle rather than the envelope, relays peel the
+/// envelope in place, and a run needs only as many records as it ever has
+/// messages in flight at once. Traces are indexed by message id — dense
+/// ids (the simulator's originals 1..M, retries after) keep them compact;
+/// memory is linear in the largest id seen.
 class network final : public event_handler {
  public:
   /// Preconditions: node_count >= 2, params.valid(),
@@ -114,10 +111,6 @@ class network final : public event_handler {
   /// relay's processing time). Precondition: delay >= 0.
   void forward_in(sim_time delay, node_id from, node_id to, message_slot slot);
 
-  /// Calls sink `node`'s on_timer() `delay` seconds from now.
-  /// Preconditions: `node` is registered, delay >= 0.
-  void arm_timer(sim_time delay, node_id node);
-
   /// The message held in `slot` (valid until the slot is released).
   [[nodiscard]] wire_message& message(message_slot slot) {
     return slab_[slot].msg;
@@ -153,11 +146,6 @@ class network final : public event_handler {
 
   /// The availability model (for diagnostics; disabled by default).
   [[nodiscard]] const net::churn_model& churn() const noexcept { return churn_; }
-
-  /// The realized crash/repair timetable (for diagnostics and tests).
-  [[nodiscard]] const net::outage_schedule& outages() const noexcept {
-    return outages_;
-  }
 
  private:
   /// A slab record: the message and the hop it is currently crossing.

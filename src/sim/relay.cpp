@@ -20,7 +20,6 @@ void onion_relay::on_message(node_id from, message_slot slot) {
   if (compromised_ && monitor_ != nullptr) {
     monitor_->note_relay(msg.id, net_.queue().now(), self_, from, next);
   }
-  ++forwarded_;
   net_.forward_in(processing_delay_, self_, next, slot);
 }
 

@@ -9,8 +9,8 @@ namespace anonpath::sim {
 
 /// A source-routed relay (Onion Routing / Freedom / PipeNet style): peels
 /// its onion layer (in place, in the network's slab), learns only
-/// predecessor and successor, forwards after a processing delay. If compromised, its adversary agent files the paper's
-/// (t, pred, succ) tuple.
+/// predecessor and successor, forwards after a processing delay. If
+/// compromised, its adversary agent files the paper's (t, pred, succ) tuple.
 class onion_relay final : public message_sink {
  public:
   onion_relay(node_id self, network& net, const crypto::key_registry& keys,
@@ -19,11 +19,6 @@ class onion_relay final : public message_sink {
 
   void on_message(node_id from, message_slot slot) override;
 
-  [[nodiscard]] node_id id() const noexcept { return self_; }
-  [[nodiscard]] std::uint64_t forwarded_count() const noexcept {
-    return forwarded_;
-  }
-
  private:
   node_id self_;
   network& net_;
@@ -31,7 +26,6 @@ class onion_relay final : public message_sink {
   double processing_delay_;
   bool compromised_;
   adversary_model* monitor_;
-  std::uint64_t forwarded_ = 0;
 };
 
 /// A hop-by-hop relay (Crowds / Onion Routing II / Hordes style): flips the
@@ -49,8 +43,6 @@ class crowds_relay final : public message_sink {
                const net::topology* topology = nullptr);
 
   void on_message(node_id from, message_slot slot) override;
-
-  [[nodiscard]] node_id id() const noexcept { return self_; }
 
  private:
   node_id self_;

@@ -1,14 +1,13 @@
 #include "src/sim/simulator.hpp"
 
 #include <algorithm>
-#include <cmath>
 #include <limits>
+#include <optional>
 #include <string>
 #include <utility>
 
-#include <optional>
-
 #include "src/anonymity/entropy.hpp"
+#include "src/anonymity/multi_message.hpp"
 #include "src/anonymity/path_sampler.hpp"
 #include "src/anonymity/posterior.hpp"
 #include "src/attack/noise.hpp"
@@ -20,7 +19,6 @@
 #include "src/sim/relay.hpp"
 #include "src/sim/workload.hpp"
 #include "src/stats/contract.hpp"
-#include "src/stats/logspace.hpp"
 
 namespace anonpath::sim {
 
@@ -80,34 +78,6 @@ class recording_model final : public adversary_model {
   std::unique_ptr<adversary_model> inner_;
   std::vector<adversary_event>& log_;
 };
-
-/// Normalized pointwise product of independent per-attempt sender
-/// posteriors — the evidence fusion behind "every retransmission is one
-/// more observation". Computed in log space for numerical safety. A factor
-/// that would annihilate the support entirely (possible only for mislinked
-/// timing-correlator chains) is skipped, matching the screening policy for
-/// unexplainable single observations: contradictory evidence cannot be
-/// normalized, so it carries no weight. Precondition: at least one factor,
-/// all the same size, each with some positive mass.
-std::vector<double> fuse_attempt_posteriors(
-    const std::vector<std::vector<double>>& factors) {
-  const std::size_t n = factors.front().size();
-  std::vector<double> log_post(n, 0.0);
-  std::vector<double> candidate(n);
-  for (const std::vector<double>& f : factors) {
-    bool has_support = false;
-    for (std::size_t i = 0; i < n; ++i) {
-      candidate[i] =
-          f[i] > 0.0 ? log_post[i] + std::log(f[i]) : stats::log_zero();
-      has_support = has_support || candidate[i] > stats::log_zero();
-    }
-    if (has_support) log_post.swap(candidate);
-  }
-  const double norm = stats::log_sum_exp(log_post);
-  std::vector<double> out(n);
-  for (std::size_t i = 0; i < n; ++i) out[i] = std::exp(log_post[i] - norm);
-  return out;
-}
 
 /// The workload half of run_core's event loop. Serves `arrival` events off
 /// the sorted Poisson schedule — each inserted when its predecessor fires,
@@ -241,7 +211,7 @@ class traffic_source final : public event_handler {
     msg.id = id;
     if (config_.mode == routing_mode::source_routed) {
       if (planner_ != nullptr) {
-        sample_planned_route_into(*planner_, sender, plan_gen, route_);
+        route_ = planner_->sample_route(sender, plan_gen);
       } else {
         const path_length l = config_.lengths.sample(gen);
         if (graph_ != nullptr)
@@ -425,14 +395,13 @@ core_result run_core(const sim_config& config,
       result.outcomes.emplace_hint(
           result.outcomes.end(), id,
           message_outcome{trace.origin, trace.sent_at, trace.delivered_at,
-                          trace.delivered,
-                          static_cast<std::uint32_t>(trace.visited.size())});
+                          trace.delivered, trace.hops});
     } else if (trace.delivered) {
       message_outcome& out = result.outcomes.at(parents[id - originals - 1]);
       if (!out.delivered || trace.delivered_at < out.delivered_at) {
         out.delivered = true;
         out.delivered_at = trace.delivered_at;
-        out.hops = static_cast<std::uint32_t>(trace.visited.size());
+        out.hops = trace.hops;
       }
     }
   }
@@ -565,7 +534,7 @@ sim_report score_run(const sim_config& config, const adversary_model& model,
       for (const auto& [original, factors] : groups)
         score_post(original, factors.size() == 1
                                  ? factors.front()
-                                 : fuse_attempt_posteriors(factors));
+                                 : combine_posteriors(factors));
     }
     if (scored == 0) {
       // Nothing observed => reporting 0.0 here would read as "all senders
@@ -693,6 +662,19 @@ sim_report run_simulation(const sim_config& config) {
   report.wire_stranded = core.wire_stranded;
   report.wire_crashed = core.wire_crashed;
   return report;
+}
+
+void record_report(obs::metrics_registry& registry, unsigned worker,
+                   const sim_report& report) {
+  registry.add_counter(worker, "sim.events_executed", report.events_executed);
+  registry.add_counter(worker, "sim.messages_submitted", report.submitted);
+  registry.add_counter(worker, "sim.messages_delivered", report.delivered);
+  registry.add_counter(worker, "sim.messages_dropped", report.wire_dropped);
+  registry.add_counter(worker, "sim.messages_stranded",
+                       report.wire_stranded + report.wire_crashed);
+  registry.add_counter(worker, "sim.retransmissions", report.retransmissions);
+  registry.add_counter(worker, "attack.memo_hits", report.memo_hits);
+  registry.add_counter(worker, "attack.memo_misses", report.memo_misses);
 }
 
 }  // namespace anonpath::sim

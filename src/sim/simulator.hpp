@@ -12,6 +12,7 @@
 #include "src/anonymity/types.hpp"
 #include "src/net/route_plan.hpp"
 #include "src/net/topology.hpp"
+#include "src/obs/metrics.hpp"
 #include "src/obs/span.hpp"
 #include "src/sim/adversary.hpp"
 #include "src/sim/fault_plan.hpp"
@@ -158,6 +159,15 @@ struct sim_report {
 /// config, runs to completion, and post-processes the adversary's log with
 /// the exact posterior engine. Deterministic under the seed.
 [[nodiscard]] sim_report run_simulation(const sim_config& config);
+
+/// Adds one run's deterministic report telemetry to `worker`'s slab of
+/// `registry` under the catalogued metric names (README "Observability"),
+/// sim.events_executed … attack.memo_misses. `simulate` and every
+/// campaign replica record through it, so a one-cell campaign and a
+/// simulate of that cell agree. Precondition: worker <
+/// registry.shard_count().
+void record_report(obs::metrics_registry& registry, unsigned worker,
+                   const sim_report& report);
 
 /// An offline inference engine for replay scoring: maps an assembled
 /// observation to a sender posterior over all N nodes. The default used by

@@ -59,7 +59,7 @@ TEST(AdversaryFuzz, OutOfOrderCaptureTimesStillAssembleInTimeOrder) {
     const auto flags = random_flags(n, 0.4, gen);
     const auto lengths = path_length_distribution::uniform(
         0, std::min<path_length>(8, n - 1));
-    const route r = sample_route(n, lengths, path_model::simple, gen);
+    const route r = sample_route(n, lengths, gen);
 
     full_coalition_model model(flags);
     std::vector<double> times(r.length());
@@ -149,7 +149,7 @@ TEST(AdversaryFuzz, PartialCoverageObservedHopsAreOrderPreservingSubsequence) {
     const bool receiver = gen.next_bernoulli(0.5);
     const auto lengths = path_length_distribution::uniform(
         0, std::min<path_length>(9, n - 1));
-    const route r = sample_route(n, lengths, path_model::simple, gen);
+    const route r = sample_route(n, lengths, gen);
 
     partial_coverage_model model(flags, receiver);
     std::vector<double> times(r.length());

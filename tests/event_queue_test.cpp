@@ -127,10 +127,10 @@ TEST(EventQueue, DispatchesEachKindToItsHandler) {
   event_queue q;
   recorder a, b;
   q.bind(event_kind::deliver, a);
-  q.bind(event_kind::mix_flush, b);
-  q.schedule_at(1.0, event_kind::mix_flush, 7);
+  q.bind(event_kind::retry_timer, b);
+  q.schedule_at(1.0, event_kind::retry_timer, 7);
   q.schedule_at(2.0, event_kind::deliver, 8);
-  q.schedule_at(3.0, event_kind::mix_flush, 9);
+  q.schedule_at(3.0, event_kind::retry_timer, 9);
   EXPECT_TRUE(q.run_until_empty());
   EXPECT_EQ(a.order, (std::vector<std::uint32_t>{8}));
   EXPECT_EQ(b.order, (std::vector<std::uint32_t>{7, 9}));

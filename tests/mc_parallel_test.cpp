@@ -141,7 +141,7 @@ TEST(McParallel, DedupMatchesDirectScoring) {
 
   {  // The clique: simple paths, posterior_engine.
     const posterior_engine engine(sys, comp, d);
-    route_sampler sampler(sys.node_count, d, path_model::simple);
+    route_sampler sampler(sys.node_count, d);
     stats::rng gen = stats::rng::stream(seed, 0);
     stats::running_summary ref;
     for (std::uint64_t i = 0; i < samples; ++i)
@@ -202,7 +202,7 @@ TEST(McParallel, RngStreamsAreDecoupled) {
 TEST(McParallel, RouteSamplerDrawsValidSimpleRoutes) {
   const std::uint32_t n = 30;
   const auto d = path_length_distribution::uniform(0, 12);
-  route_sampler sampler(n, d, path_model::simple);
+  route_sampler sampler(n, d);
   stats::rng gen(3);
   double mean_len = 0.0;
   const int trials = 20000;
@@ -236,7 +236,7 @@ TEST(McParallel, ObserveIntoMatchesObserve) {
   const std::vector<node_id> comp{1, 8, 14, 22};
   const auto f = flags(n, comp);
   const auto d = path_length_distribution::uniform(0, 10);
-  route_sampler sampler(n, d, path_model::simple);
+  route_sampler sampler(n, d);
   stats::rng gen(11);
   observation reused;
   std::string key;
@@ -265,7 +265,7 @@ TEST(McParallel, MemoizedPosteriorMatchesReferenceFuzz) {
         comp.push_back(static_cast<node_id>((i * 18) / c_count + 1));
       const posterior_engine engine(sys, comp, d);
       const auto f = flags(18, comp);
-      route_sampler sampler(18, d, path_model::simple);
+      route_sampler sampler(18, d);
       for (int i = 0; i < 200; ++i) {
         const observation obs = observe(sampler.next(gen), f);
         const auto fast = engine.sender_posterior(obs);

@@ -101,8 +101,13 @@ TEST(CombinePosteriors, RejectsBadInput) {
   EXPECT_THROW((void)combine_posteriors({}), contract_violation);
   const std::vector<std::vector<double>> mismatched{{0.5, 0.5}, {1.0}};
   EXPECT_THROW((void)combine_posteriors(mismatched), contract_violation);
+}
+
+TEST(CombinePosteriors, SkipsAFactorThatAnnihilatesTheSupport) {
+  // The second factor is zero wherever the first is positive: fusing it in
+  // would leave nothing to normalise, so it carries no weight.
   const std::vector<std::vector<double>> contradictory{{1.0, 0.0}, {0.0, 1.0}};
-  EXPECT_THROW((void)combine_posteriors(contradictory), contract_violation);
+  EXPECT_EQ(combine_posteriors(contradictory), (std::vector<double>{1.0, 0.0}));
 }
 
 TEST(Degradation, FirstMessageMatchesSingleShotEntropyScale) {

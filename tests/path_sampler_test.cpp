@@ -84,54 +84,13 @@ TEST(SimpleRouteSampler, RejectsOverlongPathsAndUnknownSenders) {
   EXPECT_THROW(sampler.sample(5, 1, gen, out), contract_violation);
 }
 
-TEST(ComplicatedRoute, NoImmediateRepeats) {
-  stats::rng g(5);
-  for (int i = 0; i < 300; ++i) {
-    const auto r = sample_complicated_route(6, 2, 10, g);
-    node_id prev = r.sender;
-    for (node_id hop : r.hops) {
-      EXPECT_NE(hop, prev);
-      prev = hop;
-    }
-  }
-}
-
-TEST(ComplicatedRoute, RevisitsDoHappen) {
-  // With N=4 and length 10, revisits are essentially certain.
-  stats::rng g(6);
-  bool revisit = false;
-  bool sender_reappears = false;
-  for (int i = 0; i < 200 && !(revisit && sender_reappears); ++i) {
-    const auto r = sample_complicated_route(4, 1, 10, g);
-    std::set<node_id> uniq(r.hops.begin(), r.hops.end());
-    if (uniq.size() < r.hops.size()) revisit = true;
-    if (uniq.contains(1u)) sender_reappears = true;
-  }
-  EXPECT_TRUE(revisit);
-  EXPECT_TRUE(sender_reappears);
-}
-
-TEST(ComplicatedRoute, FirstHopUniformOverOthers) {
-  stats::rng g(7);
-  stats::int_histogram h(5);
-  constexpr int n = 50000;
-  for (int i = 0; i < n; ++i) {
-    const auto r = sample_complicated_route(5, 2, 1, g);
-    h.add(r.hops[0]);
-  }
-  std::vector<double> expected{0.25, 0.25, 0.0, 0.25, 0.25};
-  const auto res = stats::chi_square_goodness_of_fit(h.counts(), expected);
-  EXPECT_GT(res.p_value, 1e-4);
-  EXPECT_EQ(h.count(2), 0u);
-}
-
 TEST(SampleRoute, DrawsSenderUniformly) {
   stats::rng g(8);
   const auto d = path_length_distribution::fixed(2);
   stats::int_histogram h(8);
   constexpr int n = 80000;
   for (int i = 0; i < n; ++i)
-    h.add(sample_route(8, d, path_model::simple, g).sender);
+    h.add(sample_route(8, d, g).sender);
   const std::vector<double> expected(8, 0.125);
   const auto res = stats::chi_square_goodness_of_fit(h.counts(), expected);
   EXPECT_GT(res.p_value, 1e-4);
@@ -142,7 +101,7 @@ TEST(SampleRoute, RespectsLengthDistribution) {
   const auto d = path_length_distribution::uniform(1, 4);
   stats::int_histogram h(5);
   for (int i = 0; i < 60000; ++i)
-    h.add(sample_route(10, d, path_model::complicated, g).length());
+    h.add(sample_route(10, d, g).length());
   const auto res = stats::chi_square_goodness_of_fit(h.counts(), d.dense_pmf());
   EXPECT_GT(res.p_value, 1e-4);
 }

@@ -24,7 +24,7 @@ TEST(Posterior, SumsToOne) {
   const posterior_engine engine(sys, comp, d);
   stats::rng gen(1);
   for (int i = 0; i < 200; ++i) {
-    const route r = sample_route(sys.node_count, d, path_model::simple, gen);
+    const route r = sample_route(sys.node_count, d, gen);
     const auto post = engine.sender_posterior(observe(r, flags(20, comp)));
     const double total = std::accumulate(post.begin(), post.end(), 0.0);
     EXPECT_NEAR(total, 1.0, 1e-9);
@@ -39,7 +39,7 @@ TEST(Posterior, TrueSenderAlwaysPossible) {
   const posterior_engine engine(sys, comp, d);
   stats::rng gen(7);
   for (int i = 0; i < 300; ++i) {
-    const route r = sample_route(sys.node_count, d, path_model::simple, gen);
+    const route r = sample_route(sys.node_count, d, gen);
     const auto post = engine.sender_posterior(observe(r, flags(15, comp)));
     EXPECT_GT(post[r.sender], 0.0) << "iteration " << i;
   }
@@ -98,7 +98,7 @@ TEST(Posterior, CompromisedNodesExcludedWithoutOriginReport) {
   const posterior_engine engine(sys, comp, d);
   stats::rng gen(3);
   for (int i = 0; i < 200; ++i) {
-    route r = sample_route(sys.node_count, d, path_model::simple, gen);
+    route r = sample_route(sys.node_count, d, gen);
     if (flags(12, comp)[r.sender]) continue;  // origin case tested separately
     const auto post = engine.sender_posterior(observe(r, flags(12, comp)));
     for (node_id c : comp) EXPECT_DOUBLE_EQ(post[c], 0.0);
@@ -117,7 +117,7 @@ TEST(Posterior, FastPathMatchesReference) {
     const auto d = path_length_distribution::uniform(0, 9);
     const posterior_engine engine(sys, comp, d);
     for (int i = 0; i < 150; ++i) {
-      const route r = sample_route(sys.node_count, d, path_model::simple, gen);
+      const route r = sample_route(sys.node_count, d, gen);
       const auto obs = observe(r, flags(16, comp));
       const auto fast = engine.sender_posterior(obs);
       const auto ref = engine.sender_posterior_reference(obs);

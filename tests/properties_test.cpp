@@ -106,7 +106,7 @@ TEST(Numerics, LargeSystemLongSupportStaysFinite) {
   flags[17] = true;
   stats::rng gen(3);
   for (int i = 0; i < 50; ++i) {
-    const auto r = sample_route(250, d, path_model::simple, gen);
+    const auto r = sample_route(250, d, gen);
     const auto post = engine.sender_posterior(observe(r, flags));
     const double total = std::accumulate(post.begin(), post.end(), 0.0);
     ASSERT_NEAR(total, 1.0, 1e-9);

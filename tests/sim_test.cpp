@@ -55,7 +55,7 @@ TEST(Workload, MeanInterArrivalMatchesRate) {
 TEST(Network, DeliversWithLatency) {
   network net(4, {0.010, 0.0, 0.0}, 7);
   const crypto::key_registry keys(1, 4);
-  adversary_monitor monitor(std::vector<bool>(4, false));
+  full_coalition_model monitor(std::vector<bool>(4, false));
   receiver_endpoint recv(net, keys, &monitor);
   net.register_receiver(recv);
 
@@ -72,11 +72,11 @@ TEST(Network, DeliversWithLatency) {
   net.originate(1, 0.0, 42);
   net.send(1, 0, std::move(msg));
   EXPECT_TRUE(net.queue().run_until_empty());
-  EXPECT_EQ(recv.delivered_count(), 1u);
+  const message_trace& trace = net.traces().at(42);
+  EXPECT_TRUE(trace.delivered);
   // Two links of exactly 10ms each (no jitter, no processing).
-  EXPECT_NEAR(recv.delivery_of(42).at, 0.020, 1e-12);
-  EXPECT_TRUE(net.traces().at(42).delivered);
-  EXPECT_EQ(net.traces().at(42).visited, (std::vector<node_id>{0}));
+  EXPECT_NEAR(trace.delivered_at, 0.020, 1e-12);
+  EXPECT_EQ(trace.hops, 1u);
 }
 
 TEST(Network, RejectsUnregisteredTargets) {
@@ -104,7 +104,7 @@ TEST(Network, RejectsDuplicateRegistration) {
 }
 
 TEST(AdversaryMonitor, AssemblesTimeSortedObservation) {
-  adversary_monitor monitor({false, true, false, true, false});
+  full_coalition_model monitor({false, true, false, true, false});
   monitor.note_relay(9, 3.0, 3, 2, 4);   // later capture filed first
   monitor.note_relay(9, 1.0, 1, 0, 2);
   monitor.note_receipt(9, 5.0, 4);
@@ -118,7 +118,7 @@ TEST(AdversaryMonitor, AssemblesTimeSortedObservation) {
 }
 
 TEST(AdversaryMonitor, TracksOrigin) {
-  adversary_monitor monitor({true, false});
+  full_coalition_model monitor({true, false});
   monitor.note_origin(1, 0);
   monitor.note_receipt(1, 1.0, 0);
   const auto obs = monitor.assemble(1);
@@ -127,15 +127,15 @@ TEST(AdversaryMonitor, TracksOrigin) {
 }
 
 TEST(AdversaryMonitor, IncompleteMessagesRejected) {
-  adversary_monitor monitor({true, false});
+  full_coalition_model monitor({true, false});
   monitor.note_relay(5, 1.0, 0, 1, receiver_node);
   EXPECT_FALSE(monitor.complete(5));
   EXPECT_THROW((void)monitor.assemble(5), std::out_of_range);
-  EXPECT_TRUE(monitor.delivered_messages().empty());
+  EXPECT_TRUE(monitor.observed_messages().empty());
 }
 
 TEST(AdversaryMonitor, HonestNodeCannotReport) {
-  adversary_monitor monitor({false, true});
+  full_coalition_model monitor({false, true});
   EXPECT_THROW(monitor.note_relay(1, 0.0, 0, 1, receiver_node),
                contract_violation);
   EXPECT_THROW(monitor.note_origin(1, 0), contract_violation);
@@ -146,7 +146,7 @@ TEST(OnionRelayChain, FullRouteDeliversAndLogsCompromisedHops) {
   const std::vector<bool> comp{false, true, false, false};
   network net(4, {0.001, 0.0, 0.0}, 9);
   const crypto::key_registry keys(5, 4);
-  adversary_monitor monitor(comp);
+  full_coalition_model monitor(comp);
   receiver_endpoint recv(net, keys, &monitor);
   net.register_receiver(recv);
   std::vector<std::unique_ptr<onion_relay>> relays;
@@ -164,7 +164,9 @@ TEST(OnionRelayChain, FullRouteDeliversAndLogsCompromisedHops) {
   net.send(2, 0, std::move(msg));
   EXPECT_TRUE(net.queue().run_until_empty());
 
-  EXPECT_EQ(recv.delivered_count(), 1u);
+  const message_trace& trace = net.traces().at(77);
+  EXPECT_TRUE(trace.delivered);
+  EXPECT_EQ(trace.hops, 3u);
   const auto obs = monitor.assemble(77);
   ASSERT_EQ(obs.reports.size(), 1u);
   EXPECT_EQ(obs.reports[0].reporter, 1u);

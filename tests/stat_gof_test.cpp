@@ -70,7 +70,7 @@ TEST(StatGoF, SimulatorRealizedHopsMatchConfiguredDistribution) {
 TEST(StatGoF, RouteSamplerLengthsMatchConfiguredDistribution) {
   std::uint64_t seed = 50;
   for (const preset& p : presets()) {
-    route_sampler sampler(40, p.lengths, path_model::simple);
+    route_sampler sampler(40, p.lengths);
     stats::rng gen(++seed);
     std::vector<std::uint64_t> hist(p.lengths.max_length() + 1, 0);
     for (int i = 0; i < 20000; ++i) {
@@ -91,7 +91,7 @@ TEST(StatGoF, SampleRouteLengthsMatchConfiguredDistribution) {
     stats::rng gen(++seed);
     std::vector<std::uint64_t> hist(p.lengths.max_length() + 1, 0);
     for (int i = 0; i < 20000; ++i)
-      ++hist[sample_route(40, p.lengths, path_model::simple, gen).length()];
+      ++hist[sample_route(40, p.lengths, gen).length()];
     const double pv = gof_p_value(std::move(hist), p.lengths);
     EXPECT_GT(pv, 0.01) << p.name << ": sample_route lengths diverge";
   }
@@ -99,8 +99,7 @@ TEST(StatGoF, SampleRouteLengthsMatchConfiguredDistribution) {
 
 TEST(StatGoF, RouteSamplerSendersAreUniform) {
   const std::uint32_t n = 25;
-  route_sampler sampler(n, path_length_distribution::uniform(1, 6),
-                        path_model::simple);
+  route_sampler sampler(n, path_length_distribution::uniform(1, 6));
   stats::rng gen(7);
   std::vector<std::uint64_t> hist(n, 0);
   for (int i = 0; i < 25000; ++i) ++hist[sampler.next(gen).sender];
@@ -262,8 +261,7 @@ TEST(StatGoF, RejectsAMiscalibratedWorkloadLaw) {
 TEST(StatGoF, RejectsAMiscalibratedDistribution) {
   // Negative control: the same machinery must reject a wrong hypothesis —
   // U(1,8) samples scored against Geom(0.8)'s pmf on the same support.
-  route_sampler sampler(40, path_length_distribution::uniform(1, 8),
-                        path_model::simple);
+  route_sampler sampler(40, path_length_distribution::uniform(1, 8));
   stats::rng gen(3);
   std::vector<std::uint64_t> hist(9, 0);
   for (int i = 0; i < 20000; ++i) ++hist[sampler.next(gen).length()];

@@ -475,21 +475,6 @@ net::outage parse_crash(const std::string& spec) {
   return o;
 }
 
-/// Folds one run's deterministic report telemetry into the registry under
-/// the catalogued metric names (README "Observability") — the same names
-/// run_campaign records per replica, so a one-cell campaign and a simulate
-/// of that cell agree.
-void harvest_report(obs::metrics_registry& reg, const sim::sim_report& r) {
-  reg.add_counter("sim.events_executed", r.events_executed);
-  reg.add_counter("sim.messages_submitted", r.submitted);
-  reg.add_counter("sim.messages_delivered", r.delivered);
-  reg.add_counter("sim.messages_dropped", r.wire_dropped);
-  reg.add_counter("sim.messages_stranded", r.wire_stranded + r.wire_crashed);
-  reg.add_counter("sim.retransmissions", r.retransmissions);
-  reg.add_counter("attack.memo_hits", r.memo_hits);
-  reg.add_counter("attack.memo_misses", r.memo_misses);
-}
-
 // The analytic engines' system rules, refused as usage errors before any
 // engine precondition sees them; worded as sim::config_problem words its.
 
@@ -730,7 +715,7 @@ int cmd_simulate(const options& opt) {
   print_sim_report(cfg, r);
   if (!opt.metrics_path.empty()) {
     obs::metrics_registry reg;
-    harvest_report(reg, r);
+    sim::record_report(reg, 0, r);
     obs::write_metrics_file(opt.metrics_path, reg.snapshot(), tracer.spans());
   }
   return 0;
