@@ -15,8 +15,10 @@ bool moment_signature::feasible(double max_len, double tol) const noexcept {
     // No >=3 mass: the mean must be fully explained by lengths 0..2.
     return std::fabs(tail_weight) <= tol;
   }
-  const double tail_mean = tail_weight / tail;
-  return tail_mean >= 3.0 - tol && tail_mean <= max_len + tol;
+  // The tail's conditional mean must lie in [3, max_len]. Compared as
+  // products, not by dividing by the tail: m3() is a difference of O(1)
+  // terms, so its rounding would swamp a quotient when the tail is tiny.
+  return tail_weight >= 3.0 * tail - tol && tail_weight <= max_len * tail + tol;
 }
 
 moment_signature signature_of(const path_length_distribution& d) {

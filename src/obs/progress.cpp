@@ -47,16 +47,4 @@ void progress_meter::advance(std::uint64_t done) {
   printed_any_ = true;
 }
 
-void progress_meter::note(std::string_view message) {
-  if (!enabled_) return;
-  const double elapsed = std::chrono::duration<double>(
-                             std::chrono::steady_clock::now() - start_)
-                             .count();
-  std::cerr << "# progress: " << label_ << ' ' << message << " elapsed ";
-  char buf[32];
-  std::snprintf(buf, sizeof(buf), "%.1fs\n", elapsed);
-  std::cerr << buf;
-  std::cerr.flush();
-}
-
 }  // namespace anonpath::obs

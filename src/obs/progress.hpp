@@ -3,7 +3,6 @@
 #include <chrono>
 #include <cstdint>
 #include <string>
-#include <string_view>
 
 namespace anonpath::obs {
 
@@ -34,10 +33,6 @@ class progress_meter {
 
   /// Reports that `done` of the total units are complete.
   void advance(std::uint64_t done);
-
-  /// Prints one unconditional `# progress:` line (phase boundaries of
-  /// commands without a natural unit count). No-op when disabled.
-  void note(std::string_view message);
 
  private:
   std::string label_;

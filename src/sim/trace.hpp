@@ -92,9 +92,15 @@ void write_trace_config(const sim_config& config, std::ostream& os);
 /// version mismatch throws anonpath::parse_error (an std::invalid_argument
 /// whose kind() classifies the failure and whose message names the
 /// offending field) — never a contract violation, crash, or unbounded
-/// allocation. A returned trace satisfies every precondition of
-/// replay_trace and of run_simulation(trace.config): its fields are each
-/// in range, and config_problem(trace.config) is null.
+/// allocation. Each token must be the writer's rendering of its field
+/// (decimal without leading zeros, flags 0 or 1, 16 hex digits per double,
+/// the writer's enum labels, optional sections in writer order and never
+/// at their defaults), and only whitespace may follow `end`; so
+/// write_trace of the result reproduces the input's tokens, except that a
+/// `dist` pmf is renormalized when the distribution is built. A returned
+/// trace satisfies every precondition of replay_trace and of
+/// run_simulation(trace.config): config_problem(trace.config) is null, and
+/// every node, message and attempt id is in range.
 [[nodiscard]] sim_trace read_trace(std::istream& is);
 
 }  // namespace anonpath::sim

@@ -198,32 +198,10 @@ std::uint64_t streaming_accumulator::estimate_target(std::uint32_t pair,
   return sketch_pairs_[pair].target.estimate(receiver);
 }
 
-std::vector<node_id> streaming_accumulator::candidate_receivers(
-    std::uint32_t pair) const {
-  ANONPATH_EXPECTS(cfg_.backend == stream_backend::sketch);
-  ANONPATH_EXPECTS(pair < pair_senders_.size());
-  std::vector<node_id> out;
-  for (std::uint64_t key : sketch_pairs_[pair].candidates.keys())
-    out.push_back(static_cast<node_id>(key));
-  return out;
-}
-
 bool streaming_accumulator::candidates_saturated(std::uint32_t pair) const {
   ANONPATH_EXPECTS(cfg_.backend == stream_backend::sketch);
   ANONPATH_EXPECTS(pair < pair_senders_.size());
   return sketch_pairs_[pair].candidates.saturated();
-}
-
-std::uint64_t streaming_accumulator::global_error_bound() const {
-  ANONPATH_EXPECTS(cfg_.backend == stream_backend::sketch);
-  return global_sketch_->error_bound();
-}
-
-std::uint64_t streaming_accumulator::target_error_bound(
-    std::uint32_t pair) const {
-  ANONPATH_EXPECTS(cfg_.backend == stream_backend::sketch);
-  ANONPATH_EXPECTS(pair < pair_senders_.size());
-  return sketch_pairs_[pair].target.error_bound();
 }
 
 const count_min_sketch& streaming_accumulator::global_sketch() const {

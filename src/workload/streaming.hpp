@@ -81,17 +81,13 @@ class streaming_accumulator {
   [[nodiscard]] cooccurrence_result totals() const;
 
   /// Sketch backend only: count-min point estimates (never underestimate;
-  /// overestimate bounded by *_error_bound with probability >= 1 - 2^-depth)
-  /// and the per-pair candidate-receiver reservoir (weighted by target-round
-  /// frequency; `candidates_saturated` reports whether it truncated).
+  /// overestimate bounded by count_min_sketch::error_bound with probability
+  /// >= 1 - 2^-depth), and whether the per-pair candidate-receiver
+  /// reservoir (weighted by target-round frequency) truncated.
   [[nodiscard]] std::uint64_t estimate_global(node_id receiver) const;
   [[nodiscard]] std::uint64_t estimate_target(std::uint32_t pair,
                                               node_id receiver) const;
-  [[nodiscard]] std::vector<node_id> candidate_receivers(
-      std::uint32_t pair) const;
   [[nodiscard]] bool candidates_saturated(std::uint32_t pair) const;
-  [[nodiscard]] std::uint64_t global_error_bound() const;
-  [[nodiscard]] std::uint64_t target_error_bound(std::uint32_t pair) const;
 
   /// Sketch backend only: the raw structures, so sketch-backed attacks can
   /// seed themselves with bit-identical state (sketch_sda_attack::

@@ -94,7 +94,14 @@ INSTANTIATE_TEST_SUITE_P(
         dist_case{"TwoPoint",
                   [] { return path_length_distribution::two_point(1, 0.3, 4); }},
         dist_case{"Poisson",
-                  [] { return path_length_distribution::poisson(1.5, 4); }}),
+                  [] { return path_length_distribution::poisson(1.5, 4); }},
+        // Tails of ~1e-9 and ~3e-8: m3() rounding must not make them
+        // infeasible.
+        dist_case{"PoissonTinyTail",
+                  [] { return path_length_distribution::poisson(0.003, 3); }},
+        dist_case{"GeomTinyTail", [] {
+                    return path_length_distribution::geometric(3e-8, 2, 3);
+                  }}),
     [](const ::testing::TestParamInfo<dist_case>& info) {
       return info.param.name;
     });

@@ -3,17 +3,19 @@
 // to a trace satisfying replay's preconditions or throws anonpath::
 // parse_error — never a contract_violation (that exception means a
 // programming error inside this repo), never a crash, never an unbounded
-// allocation. The corpus is generated deterministically from three seeds:
-// the committed golden trace, a synthetic trace exercising the fault
-// sections (churn, outages, mix failures, retry, attempts), and one with a
-// sketch-backed session on a planned ring (session, stream, topology,
-// routing).
+// allocation — and that it accepts only the writer's rendering, so an
+// accepted mutant re-serializes to its own tokens. The corpus is generated
+// deterministically from three seeds: the committed golden trace, a
+// synthetic trace exercising the fault sections (churn, outages, mix
+// failures, retry, attempts), and one with a sketch-backed session on a
+// planned ring (session, stream, topology, routing).
 
 #include <gtest/gtest.h>
 
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <vector>
 
 #include "src/sim/trace.hpp"
 #include "src/stats/contract.hpp"
@@ -72,10 +74,17 @@ std::string session_route_text() {
   return os.str();
 }
 
+std::vector<std::string> tokens_of(const std::string& text) {
+  std::istringstream is(text);
+  std::vector<std::string> tokens;
+  for (std::string tok; is >> tok;) tokens.push_back(tok);
+  return tokens;
+}
+
 /// The property under test: one corrupted input neither crashes nor leaks a
 /// contract violation. Successful parses hold a config the simulator can
-/// run, and some are fed to replay — the parser promised the result
-/// satisfies replay's preconditions.
+/// run and write back to the same tokens, and some are fed to replay — the
+/// parser promised the result satisfies replay's preconditions.
 void expect_graceful(const std::string& text, const std::string& what,
                      int* replays_left) {
   try {
@@ -84,6 +93,10 @@ void expect_graceful(const std::string& text, const std::string& what,
     const char* problem = sim::config_problem(trace.config);
     EXPECT_TRUE(problem == nullptr)
         << what << ": accepted a config that cannot run: " << problem;
+    std::ostringstream rewritten;
+    sim::write_trace(trace, rewritten);
+    EXPECT_TRUE(tokens_of(rewritten.str()) == tokens_of(text))
+        << what << ": accepted a token the writer never renders";
     if (replays_left != nullptr && *replays_left > 0) {
       --*replays_left;
       (void)sim::replay_trace(trace);
